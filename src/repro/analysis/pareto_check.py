@@ -122,12 +122,10 @@ def idle_intervals_of_trace(
     if not 0.0 <= warmup_fraction < 1.0:
         raise FitError("warm-up fraction must be in [0, 1)")
     observe_from = trace.duration_s * warmup_fraction
-    tracker = StackDistanceTracker()
+    depths = StackDistanceTracker().access_array(trace.pages)
+    start = int(np.searchsorted(trace.times, observe_from, side="left"))
     predictor = ResizePredictor()
-    for t, page in zip(trace.times, trace.pages):
-        depth = tracker.access(int(page))
-        if t >= observe_from:
-            predictor.record(float(t), depth)
+    predictor.record_array(trace.times[start:], depths[start:])
     [prediction] = predictor.predict(
         [memory_pages],
         window_s=window_s,

@@ -43,8 +43,21 @@ class DepthCounters:
         self._total += 1
 
     def record_many(self, depths: Sequence[int]) -> None:
-        for depth in depths:
-            self.record(depth)
+        """Batch :meth:`record`: one histogram update for a depth array.
+
+        Validates the whole batch first, so an invalid depth records
+        nothing.
+        """
+        depths = np.asarray(depths, dtype=np.int64)
+        bad = np.flatnonzero(depths < COLD_MISS)
+        if bad.size:
+            raise SimulationError(f"invalid stack depth {int(depths[bad[0]])}")
+        cold = depths == COLD_MISS
+        values, counts = np.unique(depths[~cold], return_counts=True)
+        for depth, count in zip(values.tolist(), counts.tolist()):
+            self._counts[depth] = self._counts.get(depth, 0) + count
+        self._cold += int(np.count_nonzero(cold))
+        self._total += int(depths.size)
 
     def reset(self) -> None:
         """Start a fresh observation window (the LRU state is unaffected)."""

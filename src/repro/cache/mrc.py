@@ -83,10 +83,8 @@ def build_mrc(trace: Trace, max_pages: int | None = None) -> MissRatioCurve:
     """One-pass exact LRU miss-ratio curve of a trace."""
     if trace.num_accesses == 0:
         raise TraceError("cannot build a curve from an empty trace")
-    tracker = StackDistanceTracker()
     counters = DepthCounters()
-    for page in trace.pages:
-        counters.record(tracker.access(int(page)))
+    counters.record_many(StackDistanceTracker().access_array(trace.pages))
     if max_pages is None:
         max_pages = max(counters.max_depth + 1, 1)
     misses = counters.miss_ratio_curve(max_pages)

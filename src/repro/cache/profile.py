@@ -218,9 +218,7 @@ def build_profile(trace, warm_start: bool = True, key: Optional[str] = None) -> 
     if warm_start:
         from repro.sim.prefill import warm_start_pages
 
-        access = tracker.access
-        for page in warm_start_pages(trace):
-            access(page)
+        tracker.access_array(warm_start_pages(trace))
     depths = tracker.access_array(trace.pages)
     if depths.size and int(depths.max()) >= np.iinfo(np.int32).max:
         raise SimulationError("stack distance overflows the profile encoding")

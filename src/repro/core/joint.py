@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.cache.predictor import ResizePredictor
 from repro.cache.stack_distance import StackDistanceTracker
 from repro.config.machine import MachineConfig
@@ -90,7 +92,9 @@ class JointPowerManager:
         self.memory_bytes = initial_memory_bytes
         self.timeout_s: Optional[float] = machine.disk.break_even_time_s
 
-        self._tracker = StackDistanceTracker()
+        #: Warm-start pages not yet walked through the tracker.
+        self._warm_pages: List[int] = []
+        self._stack: Optional[StackDistanceTracker] = None
         self._predictor = ResizePredictor()
         self._period_start = 0.0
         self._period_index = 0
@@ -107,8 +111,24 @@ class JointPowerManager:
         Mirrors :meth:`repro.memory.system.MemorySystem.prefill`: the same
         pages in the same order, so the tracker's stack matches the
         resident set and prefilled pages are not misclassified as cold.
+
+        The pages are only stored here: profiled runs feed
+        :meth:`record_profiled` and never read the manager's own tracker,
+        so the walk waits for the first :attr:`_tracker` use.
         """
-        self._tracker.access_array(list(pages))
+        self._warm_pages.extend(np.asarray(pages, dtype=np.int64).tolist())
+
+    @property
+    def _tracker(self) -> StackDistanceTracker:
+        """The per-access tracker, warmed with the prefill on first use."""
+        if self._stack is None:
+            self._stack = StackDistanceTracker()
+        if self._warm_pages:
+            access = self._stack.access
+            for page in self._warm_pages:
+                access(page)
+            self._warm_pages = []
+        return self._stack
 
     # --- per-access ------------------------------------------------------------
 

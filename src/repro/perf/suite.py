@@ -3,9 +3,10 @@
 Four suites, each emitting one JSON document:
 
 * ``micro`` (``BENCH_micro.json``) -- data-structure and single-replay
-  timings: stack-distance tracking (per-call and batched), profile
-  construction, and the scalar vs vectorized engine loops on one
-  workload, including the ``replay_speedup`` ratio.
+  timings: stack-distance tracking (per-call and batched, with the
+  ``stack_batch_speedup`` ratio), profile construction, and the scalar
+  vs vectorized engine loops on one workload, including the
+  ``replay_speedup`` ratio.
 * ``sweep`` (``BENCH_sweep.json``) -- the production shape the kernels
   were built for: a grid of (memory size x disk policy) points replaying
   the *same* trace, once through the scalar loop and once through the
@@ -158,14 +159,18 @@ def _suite_micro(quick: bool) -> Dict[str, Any]:
         for page in page_list:
             access(page)
 
-    wall = _best_of(tracker_loop, repeats)
-    entries["stack_tracker"] = _time_entry(wall, len(page_list))
+    loop_wall = _best_of(tracker_loop, repeats)
+    entries["stack_tracker"] = _time_entry(loop_wall, len(page_list))
 
     def tracker_batch():
         StackDistanceTracker().access_array(pages)
 
-    wall = _best_of(tracker_batch, repeats)
-    entries["stack_tracker_batch"] = _time_entry(wall, int(pages.size))
+    batch_wall = _best_of(tracker_batch, repeats)
+    entries["stack_tracker_batch"] = _time_entry(batch_wall, int(pages.size))
+    entries["stack_batch_speedup"] = _ratio_entry(
+        loop_wall / batch_wall,
+        "per-access access() loop / access_array wall-clock, same Zipf pages",
+    )
 
     machine, trace = _workload(quick)
     profile_holder: List[Any] = []

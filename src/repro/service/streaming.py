@@ -322,9 +322,10 @@ class StreamingManager:
     ) -> List[PeriodDecision]:
         """Consume one access batch; return the decisions it unlocked.
 
-        ``times`` must be non-decreasing and must not precede the
-        stream's :attr:`watermark` (ties allowed).  Empty batches are
-        valid no-ops.  ``writes`` (optional bool array) requires
+        ``times`` must be finite, non-decreasing and must not precede
+        the stream's :attr:`watermark` (ties allowed); ``pages`` must be
+        non-negative, as :class:`~repro.traces.trace.Trace` requires.
+        Empty batches are valid no-ops.  ``writes`` (optional bool array) requires
         ``expect_writes=True`` when any flag is set.
         """
         self._require_open()
@@ -336,8 +337,12 @@ class StreamingManager:
         self.batches += 1
         if times.size == 0:
             return self._new_decisions(before)
+        if not bool(np.all(np.isfinite(times))):
+            raise SimulationError("batch times must be finite")
         if times.size > 1 and bool(np.any(np.diff(times) < 0)):
             raise SimulationError("batch times must be non-decreasing")
+        if bool(np.any(pages < 0)):
+            raise SimulationError("page numbers must be non-negative")
         if float(times[0]) < self.watermark - 1e-12:
             raise SimulationError(
                 f"batch starts at {float(times[0]):.6f}s, before the stream "

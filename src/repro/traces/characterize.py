@@ -76,10 +76,8 @@ def characterize(
     if cache_sizes_bytes is None:
         cache_sizes_bytes = [1 * GB, 4 * GB, 16 * GB, 64 * GB]
 
-    tracker = StackDistanceTracker()
     counters = DepthCounters()
-    for page in trace.pages:
-        counters.record(tracker.access(int(page)))
+    counters.record_many(StackDistanceTracker().access_array(trace.pages))
 
     sizes_pages = [max(size // trace.page_size, 1) for size in cache_sizes_bytes]
     misses = counters.misses_at_sizes(sizes_pages)

@@ -41,8 +41,12 @@ class Trace:
         pages = np.asarray(self.pages, dtype=np.int64)
         if times.shape != pages.shape or times.ndim != 1:
             raise TraceError("times and pages must be 1-D arrays of equal length")
+        if not np.all(np.isfinite(times)):
+            raise TraceError("trace timestamps must be finite")
         if times.size and np.any(np.diff(times) < 0.0):
             raise TraceError("trace timestamps must be non-decreasing")
+        if times.size and times[0] < 0.0:
+            raise TraceError("trace timestamps must be non-negative")
         if np.any(pages < 0):
             raise TraceError("page numbers must be non-negative")
         if self.page_size <= 0:

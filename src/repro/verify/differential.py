@@ -218,17 +218,33 @@ def _rebuild(case: VerifyCase, pairs: Sequence[Tuple[float, int]]) -> VerifyCase
 
 
 def check_stack_distance(case: VerifyCase) -> Optional[str]:
-    """Fenwick-tree stack distances vs the explicit LRU stack."""
+    """Both tracker call styles vs the explicit LRU stack.
+
+    The per-access Fenwick ``access`` loop, and ``access_array`` fed the
+    same stream in random batches (empty and single-access ones
+    included) drawn from the case seed.
+    """
     pages = case.pages.tolist()
-    tracker = StackDistanceTracker(initial_capacity=TRACKER_CAPACITY)
-    fast = [tracker.access(page) for page in pages]
     slow = oracles.naive_stack_distances(pages)
-    if fast != slow:
-        first = next(i for i, (a, b) in enumerate(zip(fast, slow)) if a != b)
-        return (
-            f"stack distance of access {first} (page {pages[first]}): "
-            f"fast {fast[first]} != oracle {slow[first]}"
-        )
+    tracker = StackDistanceTracker(initial_capacity=TRACKER_CAPACITY)
+    loop = [tracker.access(page) for page in pages]
+
+    rng = np.random.default_rng(case.seed)
+    n = len(pages)
+    cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(0, 8))).tolist())
+    bounds = [0] + cuts + [n]
+    batched_tracker = StackDistanceTracker()
+    batched: List[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.extend(batched_tracker.access_array(case.pages[lo:hi]).tolist())
+
+    for name, fast in (("access", loop), (f"access_array {bounds}", batched)):
+        if fast != slow:
+            first = next(i for i, (a, b) in enumerate(zip(fast, slow)) if a != b)
+            return (
+                f"{name}: stack distance of access {first} (page "
+                f"{pages[first]}): fast {fast[first]} != oracle {slow[first]}"
+            )
     return None
 
 

@@ -336,8 +336,7 @@ def check_optimal(case) -> Optional[str]:
     pages = np.ascontiguousarray(case.pages, dtype=np.int64)
     n = int(pages.size)
     next_use = compute_next_use(pages)
-    tracker = StackDistanceTracker(initial_capacity=8)
-    depths = np.asarray([tracker.access(int(p)) for p in pages.tolist()])
+    depths = StackDistanceTracker().access_array(pages)
 
     # (1)-(3): fixed capacities.
     previous = None

@@ -220,3 +220,136 @@ class TestLRUConsistency:
             depth = tracker.access(page)
             hit = cache.access(page)
             assert hit == (depth != COLD and depth < capacity)
+
+
+def _split(pages, sizes):
+    """Cut ``pages`` into consecutive batches of the given sizes (the
+    last batch takes the rest; sizes may be zero)."""
+    batches, start = [], 0
+    for size in sizes:
+        batches.append(pages[start : start + size])
+        start += size
+    batches.append(pages[start:])
+    return batches
+
+
+@st.composite
+def _streams(draw):
+    """A prefill and a page stream over a small pool of page ids, dense
+    (``0..k``) or sparse and large (up to ``2**62``)."""
+    if draw(st.booleans()):
+        pool = list(range(draw(st.integers(min_value=1, max_value=20))))
+    else:
+        pool = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**62),
+                min_size=1,
+                max_size=20,
+                unique=True,
+            )
+        )
+    picks = st.lists(st.sampled_from(pool), max_size=120)
+    return draw(picks), draw(picks)
+
+
+class TestAccessArrayProperties:
+    @given(
+        stream=_streams(),
+        sizes=st.lists(st.integers(min_value=0, max_value=40), max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batches_loop_and_oracle_agree(self, stream, sizes):
+        import numpy as np
+
+        from repro.verify.oracles import naive_stack_distances
+
+        prefill, pages = stream
+        expected = naive_stack_distances(prefill + pages)[len(prefill) :]
+
+        whole = StackDistanceTracker()
+        whole.access_array(np.asarray(prefill, dtype=np.int64))
+        one_call = whole.access_array(np.asarray(pages, dtype=np.int64))
+
+        split = StackDistanceTracker()
+        split.access_array(np.asarray(prefill, dtype=np.int64))
+        parts = [
+            split.access_array(np.asarray(batch, dtype=np.int64))
+            for batch in _split(pages, sizes)
+        ]
+
+        loop = StackDistanceTracker()
+        for page in prefill:
+            loop.access(page)
+        looped = [loop.access(page) for page in pages]
+
+        assert one_call.dtype == np.int64
+        assert one_call.tolist() == expected
+        assert np.concatenate(parts).tolist() == expected
+        assert looped == expected
+        assert split.distinct_pages == loop.distinct_pages == len(
+            set(prefill + pages)
+        )
+
+    @given(values=st.lists(st.integers(min_value=-5, max_value=20), max_size=70))
+    @settings(max_examples=100, deadline=None)
+    def test_count_earlier_above_matches_brute_force(self, values):
+        import numpy as np
+
+        from repro.cache.stack_distance import count_earlier_above
+
+        got = count_earlier_above(np.asarray(values, dtype=np.int64))
+        expected = [
+            sum(1 for earlier in values[:i] if earlier > value)
+            for i, value in enumerate(values)
+        ]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) + 3]
+    )
+    def test_block_edges(self, n):
+        import numpy as np
+
+        from repro.cache.stack_distance import BLOCK
+
+        assert BLOCK == 1 << 16
+        rng = np.random.default_rng(n)
+        # Zipf reuse plus a band of cold pages, so distances both stay
+        # inside one block and reach back across block boundaries.
+        pages = np.where(
+            rng.random(n) < 0.9, rng.zipf(1.2, n) % 3000, rng.integers(0, 10**9, n)
+        ).astype(np.int64)
+        loop = StackDistanceTracker()
+        access = loop.access
+        expected = [access(page) for page in pages.tolist()]
+        assert StackDistanceTracker().access_array(pages).tolist() == expected
+        split = StackDistanceTracker()
+        cut = n // 3
+        parts = [split.access_array(pages[:cut]), split.access_array(pages[cut:])]
+        assert np.concatenate(parts).tolist() == expected
+
+    def test_forget_in_array_style(self):
+        tracker = StackDistanceTracker()
+        tracker.access_array([1, 2, 3])
+        tracker.forget(2)
+        tracker.forget(99)
+        assert tracker.distinct_pages == 2
+        assert tracker.access_array([2, 1, 3]).tolist() == [COLD, 2, 2]
+
+
+class TestCallStyles:
+    def test_access_then_access_array_raises(self):
+        tracker = StackDistanceTracker()
+        tracker.access(1)
+        with pytest.raises(SimulationError, match="access_array"):
+            tracker.access_array([1, 2])
+
+    def test_access_array_then_access_raises(self):
+        tracker = StackDistanceTracker()
+        tracker.access_array([])
+        with pytest.raises(SimulationError, match="access"):
+            tracker.access(1)
+
+    def test_rejects_non_integer_pages(self):
+        with pytest.raises(SimulationError):
+            StackDistanceTracker().access_array([1.5, 2.0])

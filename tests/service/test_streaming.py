@@ -228,6 +228,21 @@ class TestValidation:
         with pytest.raises(SimulationError):
             stream.feed([2.0], [1])
 
+    def test_negative_page_rejected(self, fast_machine):
+        # Trace rejects negative pages; the stream used to accept page -3.
+        stream = StreamingManager("JOINT", fast_machine)
+        with pytest.raises(SimulationError, match="non-negative"):
+            stream.feed([1.0, 2.0], [0, -3])
+        assert stream.accesses_fed == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, fast_machine, bad):
+        # feed([0, NaN, 2]) used to return a SimResult counting 1 of 3.
+        stream = StreamingManager("JOINT", fast_machine)
+        with pytest.raises(SimulationError, match="finite"):
+            stream.feed([0.0, bad, 2.0], [0, 1, 2])
+        assert stream.accesses_fed == 0
+
     def test_advance_backwards_rejected(self, fast_machine):
         stream = StreamingManager("JOINT", fast_machine)
         stream.advance(10.0)

@@ -44,6 +44,16 @@ class TestBasics:
         with pytest.raises(TraceError):
             make_trace([0.0, 1.0], [1, 2], files=np.array([1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        with pytest.raises(TraceError, match="finite"):
+            make_trace([0.0, bad, 2.0], [0, 1, 2])
+
+    def test_negative_timestamps_rejected(self):
+        with pytest.raises(TraceError, match="non-negative"):
+            make_trace([-5.0, 1.0], [0, 1])
+        make_trace([0.0, 1.0], [0, 1])  # time zero itself is fine
+
     def test_files_alignment(self):
         trace = make_trace([0.0, 1.0], [1, 2], files=np.array([0, 0]))
         assert trace.files is not None
