@@ -312,9 +312,9 @@ class PowerDownMemorySystem(MemorySystem):
     Because data survive power-down, cache behaviour is exactly the
     fixed-capacity LRU the stack-distance profile models, so the
     vectorized kernels can replay PD runs -- the batch charge methods
-    below repeat :meth:`access`'s per-bank accounting access by access
-    (identical floating-point operations in identical order), skipping
-    only the LRU maintenance.
+    below compute :meth:`access`'s per-bank charges as arrays (identical
+    floating-point operations, folded into the ledgers in identical
+    order), skipping only the LRU maintenance.
     """
 
     profiled_replay = True
@@ -381,28 +381,83 @@ class PowerDownMemorySystem(MemorySystem):
 
     def charge_hit_run(self, times, pages, lo: int, hi: int) -> None:
         # Dynamic energy is a recomputed product (count x per-access
-        # energy), so charging it in one batch is exact; the per-bank
-        # static/transition accounting must run access by access because
-        # each access moves its bank's idle clock.
+        # energy), so charging it in one batch is exact.  The per-bank
+        # static/transition accounting runs as one array pass: a stable
+        # argsort by bank groups each bank's accesses in time order, so
+        # an access's previous idle clock is a shift within its group
+        # (the group's first access takes the carried-in state), and the
+        # charges fold into the ledgers in the scalar loop's order.
         self._advance_clock(float(times[hi - 1]))
         self.energy.add_accesses(hi - lo, self.spec.dynamic_energy_per_access)
-        last = self._last_access
-        nbanks = last.size
-        timeout = self.timeout_s
-        accrue = self._accrue_bank
-        add_transition = self.energy.add_transition
-        wake = self._wake_energy
-        for now, page in zip(times[lo:hi].tolist(), pages[lo:hi].tolist()):
-            bank = page % nbanks
-            accrue(bank, now)
-            if now > last[bank] + timeout:
-                add_transition(wake)
-            last[bank] = now
+        banks = pages[lo:hi] % self._last_access.size
+        order = np.argsort(banks, kind="stable")
+        banks = banks[order]
+        now = times[lo:hi][order]
+        first = np.empty(banks.size, dtype=bool)
+        first[0] = True
+        np.not_equal(banks[1:], banks[:-1], out=first[1:])
+        previous = np.empty_like(now)
+        previous[1:] = now[:-1]
+        previous[first] = -np.inf
+        # Times never decrease, so a later access accrues from its group
+        # predecessor's time, or from a checkpoint's carried mark beyond it.
+        start = np.maximum(self._accounted_until[banks], previous)
+        previous[first] = self._last_access[banks[first]]
+        boundary = previous + self.timeout_s
+        ledger = np.empty((banks.size, 2))
+        ledger[order] = self._static_terms(now, start, boundary)
+        self._fold_static(ledger)
+        wakes = int(np.count_nonzero(now > boundary))
+        if wakes:
+            # Each wake adds the same charge, one ``+=`` at a time.
+            ledger = np.full(wakes + 1, self._wake_energy)
+            ledger[0] = self.energy.transition_j
+            self.energy.transition_j = float(np.add.accumulate(ledger)[-1])
+            self.energy.transitions += wakes
+        final = np.empty_like(first)
+        final[:-1] = first[1:]
+        final[-1] = True
+        touched = banks[final]
+        self._last_access[touched] = now[final]
+        self._accounted_until[touched] = np.maximum(
+            self._accounted_until[touched], now[final]
+        )
+
+    def _static_terms(self, now, start, boundary):
+        """Each row's (nap, power-down) charge, as :meth:`_accrue_bank` adds.
+
+        Row ``i`` accrues from ``start[i]`` to ``now[i]`` with the bank
+        powering down at ``boundary[i]``.  :meth:`_accrue_bank` adds a
+        charge exactly when its duration is positive -- the nap stretch
+        ``min(now, boundary) - start`` and the power-down stretch
+        ``now - max(boundary, start)`` -- so clamping both durations at
+        0.0 gives its float64 values, and 0.0 where it adds nothing.
+        """
+        terms = np.empty((start.size, 2))
+        np.subtract(np.minimum(now, boundary), start, out=terms[:, 0])
+        np.subtract(now, np.maximum(boundary, start), out=terms[:, 1])
+        np.maximum(terms, 0.0, out=terms)
+        terms *= (self.spec.bank_power("nap"), self.spec.bank_power("powerdown"))
+        return terms
+
+    def _fold_static(self, ledger) -> None:
+        """Add the ledger's charges to ``static_j`` one by one, row-major.
+
+        ``np.add.accumulate`` adds sequentially, so the total rounds
+        exactly as the scalar ``+=`` chain does (``np.sum`` sums pairwise
+        and would not); the ledger's 0.0 entries add nothing.
+        """
+        flat = ledger.ravel()
+        flat[0] += self.energy.static_j
+        self.energy.static_j = float(np.add.accumulate(flat, out=flat)[-1])
 
     def finalize(self, now: float) -> None:
         self._advance_clock(now)
-        for bank in range(self._last_access.size):
-            self._accrue_bank(bank, now)
+        start = self._accounted_until
+        self._fold_static(
+            self._static_terms(now, start, self._last_access + self.timeout_s)
+        )
+        np.maximum(start, now, out=start)
 
 
 def supports_profiled_replay(memory: MemorySystem) -> bool:
@@ -450,8 +505,10 @@ class DisableMemorySystem(MemorySystem):
             raise SimulationError("disable timeout must be positive")
         self.timeout_s = timeout_s
         banks = max(self.enabled_banks, 1)
-        self._last_access = np.zeros(banks, dtype=np.float64)
-        self._accounted_until = np.zeros(banks, dtype=np.float64)
+        # Plain float lists: every use is one scalar index, where list
+        # access and float arithmetic beat numpy scalars (same IEEE math).
+        self._last_access = [0.0] * banks
+        self._accounted_until = [0.0] * banks
         self._bank_pages: List[Set[int]] = [set() for _ in range(banks)]
         self._page_bank: Dict[int, int] = {}
         self._fill_bank = 0
@@ -488,7 +545,7 @@ class DisableMemorySystem(MemorySystem):
 
     def _place_page(self, page: int) -> None:
         """Record the freshly loaded page in a bank with room."""
-        banks = self._last_access.size
+        banks = len(self._last_access)
         per_bank = self.spec.pages_per_bank
         for probe in range(banks):
             bank = (self._fill_bank + probe) % banks
@@ -610,5 +667,5 @@ class DisableMemorySystem(MemorySystem):
 
     def finalize(self, now: float) -> None:
         self._advance_clock(now)
-        for bank in range(self._last_access.size):
+        for bank in range(len(self._last_access)):
             self._accrue_bank(bank, now)

@@ -376,6 +376,10 @@ class StreamingManager:
         """
         self._require_open()
         now = float(now)
+        if not math.isfinite(now):
+            raise SimulationError(
+                f"cannot advance to {now}: times must be finite"
+            )
         if now < self.watermark - 1e-12:
             raise SimulationError(
                 f"cannot advance to {now:.6f}s: the stream is already at "

@@ -508,7 +508,15 @@ def check_kernels(case: VerifyCase) -> Optional[str]:
     policy advertises a request-aware hook so the run stays on the
     per-miss ``"vectorized"`` mode; the batched-miss upgrade has its own
     ``missrun`` check.
+
+    Rotates the nap and power-down memory models -- power-down with its
+    spec timeout, none, an instant one or a quarter second -- and a
+    warm-up of zero or a whole number of periods, whose checkpoint
+    leaves every bank's accounting mark past its last access.  Half the
+    seeds snap the times to a quarter-second grid, so same-bank accesses
+    tie and land exactly on a power-down boundary.
     """
+    from repro.memory.system import PowerDownMemorySystem
     from repro.sim.prefill import warm_start_pages
 
     machine = random_small_machine(case.seed)
@@ -520,13 +528,22 @@ def check_kernels(case: VerifyCase) -> Optional[str]:
         rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
     )
     warm = bool(rng.integers(0, 2))
-    trace = Trace(
-        times=case.times, pages=case.pages, page_size=machine.page_bytes
-    )
+    model = ("nap", "pd")[int(rng.integers(0, 2))]
+    pd_timeout = (None, 0.0, 0.25, math.inf)[int(rng.integers(0, 4))]
+    times = case.times
+    if rng.integers(0, 2):
+        times = np.floor(times * 4.0) / 4.0
+    trace = Trace(times=times, pages=case.pages, page_size=machine.page_bytes)
+    period = machine.manager.period_s
+    periods = max(int(np.ceil(trace.duration_s / period)), 1)
+    warmup = period * int(rng.integers(0, periods))
     prefill = warm_start_pages(trace) if warm else []
 
     def replay(profile):
-        memory = NapMemorySystem(spec, capacity)
+        if model == "nap":
+            memory = NapMemorySystem(spec, capacity)
+        else:
+            memory = PowerDownMemorySystem(spec, capacity, pd_timeout)
         if prefill:
             memory.prefill(prefill)
         engine = SimulationEngine(
@@ -535,7 +552,7 @@ def check_kernels(case: VerifyCase) -> Optional[str]:
             disk_policy=_RequestAwareTimeout(timeout),
             label="verify-kernels",
         )
-        return engine.run(trace, profile=profile)
+        return engine.run(trace, warmup_s=warmup, profile=profile)
 
     fast = replay(build_profile(trace, warm_start=warm))
     slow = replay(None)
@@ -543,15 +560,15 @@ def check_kernels(case: VerifyCase) -> Optional[str]:
         return f"fast path refused an eligible run (mode {fast.replay_mode})"
     if slow.replay_mode != "scalar":
         return "reference run did not use the scalar loop"
-    a = dataclasses.asdict(fast)
-    b = dataclasses.asdict(slow)
-    a.pop("replay_mode")
-    b.pop("replay_mode")
-    for name in a:
-        if a[name] != b[name]:
+    for f in dataclasses.fields(fast):
+        if f.name == "replay_mode":
+            continue
+        diff = deep_diff(getattr(fast, f.name), getattr(slow, f.name), f.name)
+        if diff is not None:
             return (
-                f"{name}: vectorized {a[name]!r} != scalar {b[name]!r} "
-                f"(timeout {timeout}, capacity {capacity} B, warm={warm})"
+                f"{diff} (model {model}, power-down timeout {pd_timeout}, "
+                f"timeout {timeout}, capacity {capacity} B, warm={warm}, "
+                f"warm-up {warmup}s)"
             )
     return None
 

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.memory_spec import MemorySpec
 from repro.memory.system import DisableMemorySystem
 from repro.units import KB
+from tests.memory.schedules import (
+    assert_same_energy,
+    checkpoint_time,
+    schedules,
+)
 
 
 @pytest.fixture()
@@ -130,3 +137,60 @@ class TestLazyDisablePaths:
         assert system.access_rw(100.0, 0, is_write=False) is False
         assert 0 in system.take_pending_flushes()
         assert system.dirty_pages <= 1  # only the re-read copy could be dirty
+
+
+def replay_schedule(system, times, pages, segments, batched: bool) -> None:
+    """Drive ``system`` through a schedule, as the disable kernel does.
+
+    A batch consumes its pure-hit prefix with ``consume_hit_run`` and
+    serves the access that stopped it through ``access``; the reference
+    (``batched=False``) serves every access through ``access``.
+    """
+    for lo, hi, kind, mark in segments:
+        if mark is not None:
+            system.checkpoint(checkpoint_time(times, lo, mark))
+        pos = lo
+        while pos < hi:
+            if batched and kind == "batch":
+                pos = system.consume_hit_run(times, pages, pos, hi)
+                if pos == hi:
+                    break
+            system.access(float(times[pos]), int(pages[pos]))
+            pos += 1
+
+
+def assert_same_state(a, b) -> None:
+    assert_same_energy(a, b)
+    assert a._last_access == b._last_access
+    assert a._accounted_until == b._accounted_until
+    assert list(a.cache._pages) == list(b.cache._pages)
+    assert a._page_bank == b._page_bank
+    assert a.invalidation_misses == b.invalidation_misses
+    assert a.banks_disabled == b.banks_disabled
+
+
+class TestBatchedHits:
+    """``consume_hit_run`` on float-list bank state matches ``access``."""
+
+    @given(
+        schedule=schedules(),
+        timeout=st.sampled_from([0.25, 1.0, 5.0, None]),
+    )
+    @settings(deadline=None)
+    def test_any_split_matches_access_loop(self, schedule, timeout):
+        times, pages, segments = schedule
+        spec = MemorySpec(
+            installed_bytes=32 * KB,
+            bank_bytes=16 * KB,
+            chip_bytes=16 * KB,
+            page_bytes=4 * KB,
+        )
+        batched = DisableMemorySystem(spec, timeout_s=timeout)
+        reference = DisableMemorySystem(spec, timeout_s=timeout)
+        replay_schedule(batched, times, pages, segments, batched=True)
+        replay_schedule(reference, times, pages, segments, batched=False)
+        assert_same_state(batched, reference)
+        end = float(times[-1]) + 1.75
+        batched.finalize(end)
+        reference.finalize(end)
+        assert_same_state(batched, reference)

@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.memory_spec import MemorySpec
 from repro.memory.system import NapMemorySystem, PowerDownMemorySystem
 from repro.units import KB
+from tests.memory.schedules import (
+    assert_same_energy,
+    checkpoint_time,
+    schedules,
+)
 
 
-@pytest.fixture()
-def spec():
+def small_spec():
     return MemorySpec(
         installed_bytes=64 * KB,
         bank_bytes=16 * KB,
         chip_bytes=16 * KB,
         page_bytes=4 * KB,
     )
+
+
+@pytest.fixture()
+def spec():
+    return small_spec()
 
 
 class TestEnergy:
@@ -87,3 +101,92 @@ class TestEnergy:
         assert system.resizable is False
         with pytest.raises(SimulationError):
             system.resize(0.0, 16 * KB)
+
+
+def scalar_finalize(system, now: float) -> None:
+    """:meth:`finalize` as the per-bank loop the vectorized one replaces."""
+    system._advance_clock(now)
+    for bank in range(system._last_access.size):
+        system._accrue_bank(bank, now)
+
+
+def replay_schedule(system, times, pages, segments, batched: bool) -> None:
+    """Drive ``system`` through a schedule.
+
+    The reference (``batched=False``) uses only the per-access scalar
+    methods: ``access`` and the per-bank :func:`scalar_finalize`.
+    """
+    for lo, hi, kind, mark in segments:
+        if mark is not None:
+            at = checkpoint_time(times, lo, mark)
+            if batched:
+                system.checkpoint(at)
+            else:
+                scalar_finalize(system, at)
+        if not batched:
+            for i in range(lo, hi):
+                system.access(float(times[i]), int(pages[i]))
+        elif kind == "batch":
+            system.charge_hit_run(times, pages, lo, hi)
+        else:
+            for i in range(lo, hi):
+                system.charge_page_access(float(times[i]), int(pages[i]))
+
+
+def assert_same_banks(a, b) -> None:
+    assert np.array_equal(a._last_access, b._last_access)
+    assert np.array_equal(a._accounted_until, b._accounted_until)
+
+
+class TestBatchedAccrual:
+    """``charge_hit_run`` batches charge exactly what ``access`` charges."""
+
+    @given(
+        schedule=schedules(),
+        timeout=st.sampled_from([0.0, 0.25, 0.5, math.inf, None]),
+    )
+    @settings(deadline=None)
+    def test_any_split_matches_access_loop(self, schedule, timeout):
+        times, pages, segments = schedule
+        spec = small_spec()
+        batched = PowerDownMemorySystem(spec, timeout_s=timeout)
+        reference = PowerDownMemorySystem(spec, timeout_s=timeout)
+        replay_schedule(batched, times, pages, segments, batched=True)
+        replay_schedule(reference, times, pages, segments, batched=False)
+        assert_same_energy(batched, reference)
+        assert_same_banks(batched, reference)
+        end = float(times[-1]) + 1.75
+        batched.finalize(end)
+        scalar_finalize(reference, end)
+        assert_same_energy(batched, reference)
+        assert_same_banks(batched, reference)
+
+    def test_long_run_keeps_sequential_rounding(self):
+        # 10^4 accesses onto a large carried static_j: a pairwise sum of
+        # the run's charges rounds differently; the batch must not.
+        spec = small_spec()
+        rng = np.random.default_rng(7)
+        n = 10_000
+        times = 5_000.0 + np.cumsum(rng.exponential(1e-3, size=n))
+        pages = rng.integers(0, 64, size=n)
+        batched = PowerDownMemorySystem(spec)
+        reference = PowerDownMemorySystem(spec)
+        charges = []
+        for system in (batched, reference):
+            system.energy.static_j = 123_456.789
+        batched.checkpoint(4_999.0)
+        scalar_finalize(reference, 4_999.0)
+        carried = reference.energy.static_j
+        add_static = reference.energy.add_static
+
+        def recording_add_static(power_w, duration_s):
+            charges.append(power_w * duration_s)
+            add_static(power_w, duration_s)
+
+        reference.energy.add_static = recording_add_static
+        batched.charge_hit_run(times, pages, 0, n)
+        for now, page in zip(times.tolist(), pages.tolist()):
+            reference.access(now, page)
+        assert_same_energy(batched, reference)
+        assert_same_banks(batched, reference)
+        assert carried + np.sum(charges) != reference.energy.static_j

@@ -249,6 +249,19 @@ class TestValidation:
         with pytest.raises(SimulationError):
             stream.advance(5.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_advance_rejected(self, fast_machine, bad):
+        # advance(nan) used to pass silently; advance(inf) fired every
+        # pending decision and then rejected every later feed.
+        stream = StreamingManager("JOINT", fast_machine)
+        stream.feed([1.0, 2.0], [0, 1])
+        with pytest.raises(SimulationError, match="finite"):
+            stream.advance(bad)
+        assert stream.watermark == 2.0
+        stream.feed([3.0, 4.0], [2, 0])
+        assert stream.accesses_fed == 4
+        assert stream.watermark == 4.0
+
     def test_close_before_watermark_rejected(self, fast_machine):
         stream = StreamingManager("JOINT", fast_machine)
         stream.feed([200.0], [0])
