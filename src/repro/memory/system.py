@@ -105,28 +105,20 @@ class MemorySystem:
         self.charge_accesses(now, 1)
 
     def charge_hit_run(self, times, pages, lo: int, hi: int) -> None:
-        """Account the hit run ``times[lo:hi]`` / ``pages[lo:hi]``.
+        """Account the accesses ``times[lo:hi]`` / ``pages[lo:hi]``.
 
         Must charge exactly what ``hi - lo`` consecutive :meth:`access`
         hits would have charged, in the same floating-point order, while
-        leaving the LRU structure alone.  The base implementation charges
-        the run as one batch at the run's final timestamp.
+        leaving the LRU structure alone.  Memory energy accounting is
+        hit/miss-agnostic -- a miss charges the same dynamic energy (the
+        fetched page is written into memory) and moves the same bank
+        idle clocks as a hit on the same page at the same time -- so the
+        replay kernels charge a whole span, misses included, in one
+        call.  The base implementation charges the run as one batch at
+        the run's final timestamp.
         """
         del pages
         self.charge_accesses(float(times[hi - 1]), hi - lo)
-
-    def charge_miss_run(self, times, pages, lo: int, hi: int) -> None:
-        """Account the miss run ``times[lo:hi]`` / ``pages[lo:hi]``.
-
-        Memory energy accounting is hit/miss-agnostic: a miss charges the
-        same dynamic access energy (the fetched page is written into
-        memory) and moves the same bank idle clocks as a hit on the same
-        page at the same time -- only the LRU maintenance differs, and
-        the batch charge methods skip that on both paths.  So a miss run
-        charges exactly what :meth:`charge_hit_run` charges; the alias
-        keeps the kernel call sites honest about which path they batch.
-        """
-        self.charge_hit_run(times, pages, lo, hi)
 
     def consume_hit_run_rw(self, times, pages, writes, lo: int, hi: int) -> None:
         """Account a hit run of a write-carrying trace, keeping the LRU live.

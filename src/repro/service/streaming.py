@@ -5,8 +5,8 @@ the Mattson :class:`~repro.cache.stack_distance.StackDistanceTracker`,
 :meth:`~repro.cache.predictor.ResizePredictor.record_array` and the
 :class:`~repro.core.joint.JointPowerManager` -- from *incremental access
 batches* instead of a complete trace.  ``feed(times, pages)`` buffers
-the batch, replays every epoch the new data completes through the PR-4
-epoch-segmented kernels, and returns the period decisions that firing
+the batch, replays every epoch the new data completes through the
+engine's span kernels, and returns the period decisions that firing
 those boundaries produced.  ``close()`` finishes the run exactly the way
 :meth:`SimulationEngine.run` does and returns a ``SimResult``.
 
@@ -23,9 +23,9 @@ the epoch complete:
   ``t >= B`` with a *later* access behind it guarantees the epoch is
   closed (the offline loops fire ``B`` when they reach that access).
   An access at exactly the stream's high-water mark is held back: a
-  default-duration close could still drop it (the offline loop's
-  ``now >= duration`` cutoff), which would turn ``B`` into a trailing
-  boundary with a different event order.
+  default-duration close could still drop it (the duration cutoff of
+  :meth:`SimulationEngine._walk`), which would turn ``B`` into a
+  trailing boundary with a different event order.
 * Idle streams (``advance(now)``) fire boundaries past the last access
   only while no read-ahead cluster is in flight.  The offline close
   counts an unresolved cluster's request *before* trailing boundaries
@@ -37,19 +37,15 @@ the epoch complete:
   where the offline close's ``on_request`` lands -- even when idle
   boundaries were already fired past it.
 
-Replay modes mirror :func:`repro.sim.kernels.select_mode`:
-``stream-epoch`` (joint manager on the nap memory model),
-``stream-missrun`` (fixed capacity, profiled-replay memory, a
-request-blind disk policy -- misses batch through
-:meth:`SimDisk.submit_run` exactly as offline ``"missrun"`` runs do),
-``stream-vectorized`` (fixed capacity, profiled-replay memory, a
-request-aware policy), ``stream-writes`` (fixed capacity with
-write-back -- hit runs through
-:meth:`MemorySystem.consume_hit_run_rw`, flush sweeps through the
-scalar drain), ``stream-disable`` (the 2TDS model's profile-free
-pure-hit-prefix replay) and ``stream-scalar`` (joint write-back
-streams or the ``REPRO_KERNELS=0`` kill switch).  Oracle-disk methods
-need future knowledge and are rejected.
+The replay itself is :class:`~repro.sim.engine.SimulationEngine`'s
+replay core -- the same state constructor, mode choice, span replayer,
+boundary walk and run tail an offline ``engine.run`` uses; the stream
+adds only the buffering, the watermark, the fire rule and telemetry.
+Its ``replay_mode`` is ``"stream-"`` + the offline mode
+(:func:`repro.sim.kernels.select_mode` with depths from an incremental
+tracker): ``stream-epoch``, ``stream-missrun``, ``stream-vectorized``,
+``stream-writes``, ``stream-disable`` or ``stream-scalar``.
+Oracle-disk methods need future knowledge and are rejected.
 """
 
 from __future__ import annotations
@@ -59,37 +55,22 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cache.profile import kernels_enabled
-from repro.cache.stack_distance import COLD, StackDistanceTracker
+from repro.cache.stack_distance import StackDistanceTracker
 from repro.config.machine import MachineConfig
 from repro.core.joint import JointPowerManager, PeriodDecision
 from repro.errors import SimulationError
-from repro.memory.system import (
-    DisableMemorySystem,
-    NapMemorySystem,
-    supports_profiled_replay,
-)
 from repro.policies.registry import MethodSpec, parse_method
 from repro.sim import kernels
-from repro.sim.engine import SimulationEngine, _ReplayState
-from repro.sim.metrics import MetricsCollector
+from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimResult
-
-#: ``SimResult.replay_mode`` values for streaming runs.
-STREAM_SCALAR = "stream-scalar"
-STREAM_VECTORIZED = "stream-vectorized"
-STREAM_MISSRUN = "stream-missrun"
-STREAM_EPOCH = "stream-epoch"
-STREAM_WRITES = "stream-writes"
-STREAM_DISABLE = "stream-disable"
 
 _INITIAL_BUFFER = 1024
 
-#: Which side of a period boundary an exactly-tied access belongs to.
-#: ``"left"`` matches the scalar loop (events drain before the access is
-#: recorded, so a tie goes to the *next* epoch).  Module-level so the
-#: injected-bug tests can flip it and prove ``CHECKS["stream"]`` catches
-#: the off-by-one.
+#: Which side of a period boundary an exactly-tied access belongs to
+#: when the fire rule cuts the buffer.  ``"left"`` matches the scalar
+#: loop (events drain before the access is recorded, so a tie goes to
+#: the *next* epoch).  Module-level so the injected-bug tests can flip it
+#: and prove ``CHECKS["stream"]`` catches the off-by-one.
 _BOUNDARY_SIDE = "left"
 
 
@@ -189,79 +170,22 @@ class StreamingManager:
         self._manager = manager
         self._memory = memory
 
-        # --- replay mode, mirroring kernels.select_mode ------------------
-        if not kernels_enabled():
-            self.replay_mode = STREAM_SCALAR
-        elif manager is None and type(memory) is DisableMemorySystem:
-            self.replay_mode = (
-                STREAM_SCALAR if self.expect_writes else STREAM_DISABLE
-            )
-        elif manager is not None:
-            if self.expect_writes:
-                self.replay_mode = STREAM_SCALAR
-            elif type(memory) is NapMemorySystem:
-                self.replay_mode = STREAM_EPOCH
-            else:
-                self.replay_mode = STREAM_SCALAR
-        elif supports_profiled_replay(memory):
-            if self.expect_writes:
-                self.replay_mode = STREAM_WRITES
-            elif kernels._policy_is_request_blind(
-                self._engine.policy
-            ) and kernels._batchable_disk(self._engine.disk):
-                self.replay_mode = STREAM_MISSRUN
-            else:
-                self.replay_mode = STREAM_VECTORIZED
-        else:
-            self.replay_mode = STREAM_SCALAR
+        # The engine's replay core, exactly as engine.run starts it; the
+        # stream always has depths at hand (its incremental tracker).
+        engine = self._engine
+        self._st = engine._start(self.expect_writes, math.inf, warmup_s, True)
+        self.replay_mode = "stream-" + self._st.mode
+        engine.last_replay_mode = self.replay_mode
 
         # The incremental Mattson pass: the same tracker, prefill and page
         # sequence build_profile would run offline, so the depths handed
-        # to the kernels are identical to a TraceProfile's.  The disable
-        # mode needs none: its residency oracle is the live bank map.
+        # to the kernels are identical to a TraceProfile's.  The scalar
+        # and disable modes need none.
         self._tracker: Optional[StackDistanceTracker] = None
-        if self.replay_mode in (
-            STREAM_EPOCH,
-            STREAM_VECTORIZED,
-            STREAM_MISSRUN,
-            STREAM_WRITES,
-        ):
+        if self._st.mode not in (kernels.MODE_SCALAR, kernels.MODE_DISABLE):
             self._tracker = StackDistanceTracker()
             if prefill:
                 self._tracker.access_array(prefill)
-
-        # --- engine state, initialized exactly as engine.run does --------
-        engine = self._engine
-        engine.last_replay_mode = self.replay_mode
-        engine.disk.set_timeout(0.0, engine._initial_timeout())
-        st = _ReplayState()
-        st.metrics = MetricsCollector(
-            period_s=period,
-            long_latency_threshold_s=machine.manager.long_latency_threshold_s,
-            aggregation_window_s=machine.manager.aggregation_window_s,
-        )
-        from repro.cache.readahead import ReadaheadClusterer
-        from repro.sim.engine import SEQUENTIAL_MERGE_WINDOW_S
-
-        st.clusterer = ReadaheadClusterer(
-            merge_window_s=SEQUENTIAL_MERGE_WINDOW_S
-        )
-        st.has_writes = self.expect_writes
-        st.duration_s = math.inf  # pinned down at close()
-        st.warmup_s = warmup_s
-        st.period_s = period
-        st.next_flush = engine.flush_interval_s
-        st.next_boundary = period
-        st.last_flush_page = -2
-        st.last_miss_page = -2
-        st.last_miss_time = -np.inf
-        st.current_timeout = engine.disk.timeout_s
-        st.mem_mark = memory.energy.snapshot() if warmup_s == 0 else None
-        st.disk_mark = engine.disk.energy.snapshot() if warmup_s == 0 else None
-        self._st = st
-
-        # Epoch-kernel resident-count invariant (see kernels.replay_epoch).
-        self._resident = len(memory.cache)
 
         # --- pending-access ring -----------------------------------------
         self._times = np.empty(_INITIAL_BUFFER, dtype=np.float64)
@@ -276,16 +200,14 @@ class StreamingManager:
         )
         self._lo = 0  # first unprocessed access
         self._hi = 0  # end of buffered data
+        self._bind()
 
         #: Highest time the stream has vouched for: no future access may
         #: precede it (monotonic-time validation).
         self.watermark = 0.0
-        self._last_processed_time = -math.inf
         # Where the offline close attributes the final cluster flush: the
         # metrics (collector, open period) after the last processed access.
-        self._flush_metrics: Optional[MetricsCollector] = None
-        self._flush_period = None
-        self._decisions_seen = 0
+        self._flush_target = None
         self._closed = False
         #: Telemetry counters.
         self.accesses_fed = 0
@@ -401,7 +323,6 @@ class StreamingManager:
         already replayed, which the watermark rule guarantees).
         """
         self._require_open()
-        engine = self._engine
         st = self._st
         period = st.period_s
         if duration_s is None:
@@ -417,84 +338,10 @@ class StreamingManager:
         if self.warmup_s >= duration_s:
             raise SimulationError("warm-up must be within the duration")
         st.duration_s = duration_s
-
-        # Replay the pending tail below the duration cutoff, then the
-        # engine.run post-loop sequence, verbatim.
-        cutoff = self._lo + int(
-            np.searchsorted(
-                self._times[self._lo : self._hi], duration_s, side="left"
-            )
-        )
-        self._drain_pending(cutoff, duration_s)
-        self.accesses_dropped += self._hi - self._lo
-        self._lo = self._hi
-
-        if st.clusterer.flush() is not None:
-            # Offline, this on_request fires before the trailing drain:
-            # it lands in the period that was current after the last
-            # processed access, on whichever collector was live then.
-            metrics = self._flush_metrics
-            period_rec = self._flush_period
-            if metrics is None or period_rec is None:
-                raise SimulationError(
-                    "read-ahead cluster without a processed access"
-                )
-            metrics.total_disk_requests += 1
-            period_rec.disk_requests += 1
-
-        engine._drain_events(st, duration_s)
-        metrics = st.metrics
-        last_closed = (
-            metrics.periods[-1].end_s
-            if metrics.periods
-            else metrics.current_period_start
-        )
-        if not metrics.periods or last_closed < duration_s - 1e-9:
-            metrics.close_period(
-                duration_s,
-                memory_bytes=self._memory.capacity_bytes,
-                timeout_s=st.current_timeout,
-            )
-
-        if st.has_writes:
-            remaining = (
-                self._memory.take_pending_flushes() + self._memory.flush_all()
-            )
-            if remaining:
-                engine._flush(
-                    duration_s, remaining, metrics, st.last_flush_page
-                )
-
-        engine.disk.finalize(duration_s)
-        self._memory.finalize(duration_s)
-
-        if st.mem_mark is None or st.disk_mark is None:
-            raise SimulationError("warm-up window never closed")
-        memory_energy = self._memory.energy.minus(st.mem_mark)
-        disk_energy = engine.disk.energy.minus(st.disk_mark)
-        observed_s = duration_s - self.warmup_s
+        self._replay_tail()
+        result = self._engine._finish(st, self._flush_target)
         self._closed = True
-        manager = self._manager
-        return SimResult(
-            label=engine.label,
-            duration_s=observed_s,
-            memory_energy_j=memory_energy.total_j,
-            disk_energy_j=disk_energy.total_joules(self.machine.disk),
-            memory_energy=memory_energy,
-            disk_energy=disk_energy,
-            total_accesses=metrics.total_accesses,
-            disk_page_accesses=metrics.total_disk_pages,
-            disk_requests=metrics.total_disk_requests,
-            disk_write_pages=metrics.total_flush_pages,
-            mean_latency_s=metrics.mean_latency_s,
-            long_latency=metrics.total_long_latency,
-            wake_long_latency=metrics.total_wake_long_latency,
-            spin_down_cycles=disk_energy.spin_down_cycles,
-            utilization=disk_energy.utilization(observed_s),
-            periods=metrics.periods,
-            decisions=list(manager.decisions) if manager is not None else [],
-            replay_mode=self.replay_mode,
-        )
+        return result
 
     # --- buffering --------------------------------------------------------
 
@@ -528,6 +375,22 @@ class StreamingManager:
             assert self._tracker is not None
             self._depths[hi : hi + n] = self._tracker.access_array(pages)
         self._hi = hi + n
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point the replay state at trimmed views of the buffers.
+
+        ``[0, _hi)`` is globally sorted (the stream is monotonic and
+        compaction preserves order), so the kernels' searchsorted calls
+        stay correct; beyond ``_hi`` the buffers hold uninitialized
+        garbage.
+        """
+        st = self._st
+        hi = self._hi
+        st.times = self._times[:hi]
+        st.pages = self._pages[:hi]
+        st.writes = None if self._writes is None else self._writes[:hi]
+        st.depths = None if self._depths is None else self._depths[:hi]
 
     def _reallocate(self, size: int) -> None:
         """Grow the buffers, compacting processed entries away."""
@@ -548,13 +411,13 @@ class StreamingManager:
 
     def _pump(self) -> None:
         """Replay everything the watermark has proven complete."""
-        if self.replay_mode == STREAM_SCALAR:
+        if self._st.mode == kernels.MODE_SCALAR:
             self._pump_scalar()
         else:
             self._pump_fast()
 
     def _pump_fast(self) -> None:
-        """Epoch/vectorized modes: fire each proven-complete boundary.
+        """Fast modes: fire each proven-complete boundary.
 
         A boundary ``B`` is safe once a buffered access in
         ``[B, watermark)`` witnesses it (that access is certain to be
@@ -567,13 +430,7 @@ class StreamingManager:
         engine = self._engine
         while True:
             boundary = st.next_boundary
-            cut = self._lo + int(
-                np.searchsorted(
-                    self._times[self._lo : self._hi],
-                    boundary,
-                    side=_BOUNDARY_SIDE,
-                )
-            )
+            cut = self._cut(boundary, _BOUNDARY_SIDE)
             witnessed = (
                 cut < self._hi and float(self._times[cut]) < self.watermark
             )
@@ -581,10 +438,9 @@ class StreamingManager:
                 self.watermark > boundary and st.clusterer._pending is None
             ):
                 break
-            self._replay_span(self._lo, cut, math.inf)
-            self._lo = cut
+            self._replay(cut)
             engine._drain_events(st, boundary)
-            self._resident = min(self._resident, self._memory.capacity_pages)
+            st.resident = min(st.resident, self._memory.capacity_pages)
         if self._manager is None:
             # Manager-less modes can also drain mid-period: with no
             # epoch decisions pending, replaying any prefix strictly
@@ -599,16 +455,7 @@ class StreamingManager:
             # the span cannot cross an unfired period close.  This keeps
             # the pending ring bounded by the feed granularity instead
             # of a full period (~15 M accesses at scale=1).
-            cut = self._lo + int(
-                np.searchsorted(
-                    self._times[self._lo : self._hi],
-                    self.watermark,
-                    side="left",
-                )
-            )
-            if cut > self._lo:
-                self._replay_span(self._lo, cut, math.inf)
-                self._lo = cut
+            self._replay(self._cut(self.watermark))
 
     def _pump_scalar(self) -> None:
         """Scalar mode: replay accesses strictly below the watermark.
@@ -619,214 +466,40 @@ class StreamingManager:
         only while the clusterer is empty, same as the fast pump.
         """
         st = self._st
-        cut = self._lo + int(
-            np.searchsorted(
-                self._times[self._lo : self._hi], self.watermark, side="left"
-            )
-        )
-        self._replay_span(self._lo, cut, math.inf)
-        self._lo = cut
+        self._replay(self._cut(self.watermark))
         if st.clusterer._pending is None:
             self._engine._drain_events(st, self.watermark)
 
-    def _drain_pending(self, cutoff: int, duration_s: float) -> None:
-        """Close-time tail: replay ``[lo, cutoff)`` exactly as the
-        offline loops replay their final accesses."""
-        st = self._st
-        engine = self._engine
-        if self.replay_mode == STREAM_SCALAR:
-            self._replay_span(self._lo, cutoff, duration_s)
-            self._lo = cutoff
-            return
-        # Mirror kernels.replay_epoch's loop over the remaining tail:
-        # boundaries fire only when an access at/past them remains.
-        while self._lo < cutoff:
-            boundary = st.next_boundary
-            if boundary > st.duration_s:
-                end = cutoff
-            else:
-                end = self._lo + int(
-                    np.searchsorted(
-                        self._times[self._lo : self._hi],
-                        boundary,
-                        side=_BOUNDARY_SIDE,
-                    )
-                )
-                end = min(end, cutoff)
-            if end > self._lo:
-                self._replay_span(self._lo, end, duration_s)
-                self._lo = end
-                if self._lo >= cutoff:
-                    break
-            engine._drain_events(st, boundary)
-            self._resident = min(self._resident, self._memory.capacity_pages)
-
-    # --- replay spans -----------------------------------------------------
-
-    def _replay_span(self, lo: int, hi: int, duration_s: float) -> None:
-        """Replay buffered accesses ``[lo, hi)`` through the engine."""
-        if hi <= lo:
-            return
-        st = self._st
-        # Trimmed views: [0, _hi) is globally sorted (the stream is
-        # monotonic and compaction preserves order), so the kernels'
-        # internal searchsorted calls stay correct; beyond _hi the
-        # buffers hold uninitialized garbage.
-        times = self._times[: self._hi]
-        pages = self._pages[: self._hi]
-        if self.replay_mode == STREAM_EPOCH:
-            self._resident = kernels._replay_epoch_segment(
-                self._engine,
-                st,
-                self._memory,
-                self._manager,
-                times,
-                pages,
-                self._depths[: self._hi],
-                lo,
-                hi,
-                duration_s,
-                self._resident,
-            )
-        elif self.replay_mode == STREAM_VECTORIZED:
-            self._replay_span_vectorized(lo, hi, duration_s)
-        elif self.replay_mode == STREAM_MISSRUN:
-            self._replay_span_missrun(lo, hi, duration_s)
-        elif self.replay_mode == STREAM_WRITES:
-            self._replay_span_writes(lo, hi, duration_s)
-        elif self.replay_mode == STREAM_DISABLE:
-            kernels._replay_disable_span(
-                self._engine, st, self._memory, times, pages, lo, hi
-            )
-        else:
-            self._replay_span_scalar(lo, hi)
-        self.accesses_processed += hi - lo
-        self._last_processed_time = float(self._times[hi - 1])
-        self._flush_metrics = st.metrics
-        self._flush_period = st.metrics._current
-
-    def _replay_span_vectorized(
-        self, lo: int, hi: int, duration_s: float
-    ) -> None:
-        """The replay_vectorized inner loop over one buffered span."""
-        st = self._st
-        engine = self._engine
-        memory = self._memory
-        times = self._times[: self._hi]
-        pages = self._pages[: self._hi]
-        window = self._depths[lo:hi]
-        # profile.hit_mask's exact rule: hit iff 0 <= depth < capacity.
-        hits = (window >= 0) & (window < memory.capacity_pages)
-        miss_indices = np.flatnonzero(~hits) + lo
-        drain = engine._drain_events
-        serve_miss = engine._serve_miss
-        pos = lo
-        for m in miss_indices.tolist():
-            if pos < m:
-                kernels._consume_hits(
-                    engine, st, memory, times, pages, pos, m, duration_s
-                )
-            now = float(times[m])
-            page = int(pages[m])
-            drain(st, now)
-            memory.charge_page_access(now, page)
-            serve_miss(st, now, page)
-            pos = m + 1
-        if pos < hi:
-            kernels._consume_hits(
-                engine, st, memory, times, pages, pos, hi, duration_s
-            )
-
-    def _replay_span_missrun(self, lo: int, hi: int, duration_s: float) -> None:
-        """The replay_missrun inner loop over one buffered span.
-
-        Same classification as the vectorized span (the incremental
-        tracker's depths stand in for the profile); runs of consecutive
-        misses batch through the same boundary-splitting helpers the
-        offline ``"missrun"`` replay uses.
-        """
-        st = self._st
-        engine = self._engine
-        memory = self._memory
-        times = self._times[: self._hi]
-        pages = self._pages[: self._hi]
-        window = self._depths[lo:hi]
-        hits = (window >= 0) & (window < memory.capacity_pages)
-        miss_indices = np.flatnonzero(~hits) + lo
-        pos = lo
-        for run_lo, run_hi in kernels._miss_runs(miss_indices):
-            if pos < run_lo:
-                kernels._consume_hits(
-                    engine, st, memory, times, pages, pos, run_lo, duration_s
-                )
-            kernels._serve_missrun_span(
-                engine, st, memory, times, pages, run_lo, run_hi, duration_s
-            )
-            pos = run_hi
-        if pos < hi:
-            kernels._consume_hits(
-                engine, st, memory, times, pages, pos, hi, duration_s
-            )
-
-    def _replay_span_writes(self, lo: int, hi: int, duration_s: float) -> None:
-        """The replay_writes inner loop over one buffered span.
-
-        Same classification as the vectorized span (the incremental
-        tracker's depths stand in for the profile; write-allocate keeps
-        the LRU evolution read-identical), with misses, dirty evictions
-        and flush sweeps through the exact scalar path.
-        """
-        memory = self._memory
-        times = self._times[: self._hi]
-        pages = self._pages[: self._hi]
-        writes = self._writes[: self._hi]
-        window = self._depths[lo:hi]
-        hits = (window >= 0) & (window < memory.capacity_pages)
-        miss_indices = np.flatnonzero(~hits) + lo
-        kernels._replay_writes_inner(
-            self._engine, self._st, memory, times, pages, writes,
-            miss_indices, lo, hi, duration_s,
+    def _cut(self, at_s: float, side: str = "left") -> int:
+        """Index of the first pending access at (``side='left'``) or past
+        (``'right'``) ``at_s``."""
+        lo = self._lo
+        return lo + int(
+            np.searchsorted(self._times[lo : self._hi], at_s, side=side)
         )
 
-    def _replay_span_scalar(self, lo: int, hi: int) -> None:
-        """The engine's per-access reference loop over one buffered span."""
-        st = self._st
-        engine = self._engine
-        memory = self._memory
-        manager = self._manager
-        has_writes = st.has_writes
-        drain_events = engine._drain_events
-        serve_miss = engine._serve_miss
-        times = self._times[lo:hi].tolist()
-        pages = self._pages[lo:hi].tolist()
-        writes = (
-            self._writes[lo:hi].tolist()
-            if has_writes and self._writes is not None
-            else [False] * (hi - lo)
-        )
-        for now, page, is_write in zip(times, pages, writes):
-            drain_events(st, now)
-            if manager is not None:
-                manager.record_access(now, page)
-            if has_writes:
-                hit = memory.access_rw(now, page, is_write)
-                pending = memory.take_pending_flushes()
-                if pending:
-                    st.last_flush_page = engine._flush(
-                        now, pending, st.metrics, st.last_flush_page
-                    )
-                if is_write:
-                    if hit:
-                        st.metrics.on_hit(now)
-                    else:
-                        st.metrics.on_write(now)
-                    continue
-            else:
-                hit = memory.access(now, page)
-            if hit:
-                st.metrics.on_hit(now)
-                continue
-            serve_miss(st, now, page)
+    def _replay(self, hi: int) -> None:
+        """Replay pending accesses ``[_lo, hi)`` as one engine span."""
+        if hi > self._lo:
+            self._engine._replay_span(self._st, self._lo, hi)
+            self._processed(hi)
+
+    def _replay_tail(self) -> None:
+        """Close-time tail: walk every pending access below the duration
+        exactly as the offline run walks its final accesses, drop the
+        rest."""
+        cut = self._engine._walk(self._st, self._lo, self._hi)
+        if cut > self._lo:
+            self._processed(cut)
+        self.accesses_dropped += self._hi - cut
+        self._lo = self._hi
+
+    def _processed(self, hi: int) -> None:
+        """Telemetry after replaying ``[_lo, hi)``."""
+        metrics = self._st.metrics
+        self.accesses_processed += hi - self._lo
+        self._lo = hi
+        self._flush_target = (metrics, metrics._current)
 
     # --- helpers ----------------------------------------------------------
 
@@ -836,9 +509,7 @@ class StreamingManager:
     def _new_decisions(self, before: int) -> List[PeriodDecision]:
         if self._manager is None:
             return []
-        fresh = self._manager.decisions[before:]
-        self._decisions_seen = len(self._manager.decisions)
-        return list(fresh)
+        return list(self._manager.decisions[before:])
 
     def _require_open(self) -> None:
         if self._closed:

@@ -46,12 +46,13 @@ FLUSH_INTERVAL_S = 30.0
 
 
 class _ReplayState:
-    """Mutable per-run bookkeeping shared by the scalar loop, the
-    vectorized kernels and the event drainer.
+    """Mutable per-run bookkeeping of the replay core.
 
-    Everything the original closure-based loop kept in ``nonlocal``
-    variables lives here, so both replay paths mutate one place and the
-    post-loop tail reads one place.
+    The boundary walk, the span replayers, the event drainer and the run
+    tail all read and mutate this one place.  ``times``/``pages``/
+    ``writes``/``depths`` are the arrays being replayed (the whole trace
+    offline, the pending buffer of a stream); ``resident`` is the epoch
+    kernel's resident-page count (:func:`repro.sim.kernels._epoch_misses`).
     """
 
     __slots__ = (
@@ -69,6 +70,13 @@ class _ReplayState:
         "current_timeout",
         "mem_mark",
         "disk_mark",
+        "mode",
+        "batch_misses",
+        "resident",
+        "times",
+        "pages",
+        "writes",
+        "depths",
     )
 
 
@@ -139,7 +147,7 @@ class SimulationEngine:
             return None
         return float(self.idle_hints[index])
 
-    # --- main loop ----------------------------------------------------------------
+    # --- the replay core ----------------------------------------------------------
 
     def run(
         self,
@@ -161,9 +169,7 @@ class SimulationEngine:
         is eligible (:func:`repro.sim.kernels.fast_path_reason`); results
         are bit-identical either way.
         """
-        machine = self.machine
-        manager_cfg = machine.manager
-        period = manager_cfg.period_s
+        period = self.machine.manager.period_s
         if duration_s is None:
             periods = max(int(np.ceil(trace.duration_s / period)), 1)
             duration_s = periods * period
@@ -181,52 +187,123 @@ class SimulationEngine:
                 "memory system and joint manager disagree on the initial size"
             )
 
-        disk = self.disk
-        memory = self.memory
-        manager = self.manager
-        disk.set_timeout(0.0, self._initial_timeout())
+        has_writes = trace.writes is not None and bool(trace.writes.any())
+        covered = profile is not None and len(profile) == trace.num_accesses
+        st = self._start(has_writes, duration_s, warmup_s, covered)
+        st.times, st.pages, st.writes = trace.times, trace.pages, trace.writes
+        st.depths = profile.depths if covered else None
+        self._walk(st, 0, trace.num_accesses)
+        return self._finish(st, (st.metrics, st.metrics._current))
 
+    def _start(
+        self, has_writes: bool, duration_s: float, warmup_s: float, depths: bool
+    ) -> _ReplayState:
+        """Pick the replay mode, set the initial timeout, build the state.
+
+        ``depths`` says whether per-access stack depths will be supplied
+        (see :func:`repro.sim.kernels.select_mode`); the caller binds the
+        access arrays to the returned state.
+        """
+        manager_cfg = self.machine.manager
         st = _ReplayState()
+        st.mode = kernels.select_mode(self, has_writes, depths)[0]
+        self.last_replay_mode = st.mode
+        st.batch_misses = kernels._policy_is_request_blind(
+            self.policy
+        ) and kernels._batchable_disk(self.disk)
+        self.disk.set_timeout(0.0, self._initial_timeout())
         st.metrics = MetricsCollector(
-            period_s=period,
+            period_s=manager_cfg.period_s,
             long_latency_threshold_s=manager_cfg.long_latency_threshold_s,
             aggregation_window_s=manager_cfg.aggregation_window_s,
         )
         st.clusterer = ReadaheadClusterer(
             merge_window_s=SEQUENTIAL_MERGE_WINDOW_S
         )
-        st.has_writes = trace.writes is not None and bool(trace.writes.any())
+        st.has_writes = has_writes
         st.duration_s = duration_s
         st.warmup_s = warmup_s
-        st.period_s = period
+        st.period_s = manager_cfg.period_s
         st.next_flush = self.flush_interval_s
-        st.next_boundary = period
+        st.next_boundary = manager_cfg.period_s
         st.last_flush_page = -2
         st.last_miss_page = -2
         st.last_miss_time = -np.inf
-        st.current_timeout = disk.timeout_s
-        st.mem_mark = memory.energy.snapshot() if warmup_s == 0 else None
-        st.disk_mark = disk.energy.snapshot() if warmup_s == 0 else None
+        st.current_timeout = self.disk.timeout_s
+        st.mem_mark = self.memory.energy.snapshot() if warmup_s == 0 else None
+        st.disk_mark = self.disk.energy.snapshot() if warmup_s == 0 else None
+        st.resident = len(self.memory.cache)
+        st.times = st.pages = st.writes = st.depths = None
+        return st
 
-        mode, _ = kernels.select_mode(self, trace, profile)
-        self.last_replay_mode = mode
-        if mode == kernels.MODE_VECTORIZED:
-            kernels.replay_vectorized(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_MISSRUN:
-            kernels.replay_missrun(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_EPOCH:
-            kernels.replay_epoch(self, st, trace, profile, duration_s)
+    def _walk(self, st: _ReplayState, lo: int, hi: int) -> int:
+        """Replay accesses ``[lo, hi)`` epoch by epoch; returns the cutoff.
+
+        Accesses at or past the run's duration are cut off (the returned
+        index is the first of them).  Each stretch between two period
+        boundaries replays as one span; a boundary fires (``end_period``,
+        resize, timeout) through ``_drain_events`` only while an access
+        at or past it remains -- the ones past the last access belong to
+        the run tail -- and the resident count is re-clamped after it so
+        the next epoch's classification sees the resize.  An access
+        exactly at a boundary belongs to the next epoch: the scalar loop
+        drains events before it records the access.
+        """
+        times = st.times
+        hi = lo + int(np.searchsorted(times[lo:hi], st.duration_s, side="left"))
+        pos = lo
+        while pos < hi:
+            boundary = st.next_boundary
+            end = hi
+            if boundary <= st.duration_s:
+                end = pos + int(
+                    np.searchsorted(times[pos:hi], boundary, side="left")
+                )
+            if end > pos:
+                self._replay_span(st, pos, end)
+                pos = end
+                if pos >= hi:
+                    break
+            self._drain_events(st, boundary)
+            st.resident = min(st.resident, self.memory.capacity_pages)
+        return hi
+
+    def _replay_span(self, st: _ReplayState, lo: int, hi: int) -> None:
+        """Replay ``[lo, hi)`` in the run's mode.
+
+        A fast-mode span must lie inside one epoch; the scalar loop
+        fires its own events and takes any span.
+        """
+        mode = st.mode
+        if mode == kernels.MODE_SCALAR:
+            self._replay_scalar(st, lo, hi)
         elif mode == kernels.MODE_WRITES:
-            kernels.replay_writes(self, st, trace, profile, duration_s)
+            kernels._writes_span(self, st, lo, hi)
         elif mode == kernels.MODE_DISABLE:
-            kernels.replay_disable(self, st, trace, duration_s)
+            kernels._disable_span(self, st, lo, hi)
         else:
-            self._replay_scalar(st, trace, duration_s)
+            kernels._profiled_span(self, st, lo, hi)
 
+    def _finish(self, st: _ReplayState, flush_target) -> SimResult:
+        """The run tail: close every open account and build the result.
+
+        ``flush_target`` is the ``(collector, open period)`` that was
+        current after the last replayed access: the still-open read-ahead
+        cluster's request is counted there, before the trailing events
+        (flushes and periods in the idle tail) fire.
+        """
+        memory = self.memory
+        disk = self.disk
+        duration_s = st.duration_s
         if st.clusterer.flush() is not None:
-            st.metrics.on_request()
+            if flush_target is None:
+                raise SimulationError(
+                    "read-ahead cluster without a processed access"
+                )
+            collector, period = flush_target
+            collector.total_disk_requests += 1
+            period.disk_requests += 1
 
-        # Fire the trailing events (flushes and periods in the idle tail).
         self._drain_events(st, duration_s)
         metrics = st.metrics
         last_closed = (
@@ -256,13 +333,14 @@ class SimulationEngine:
             raise SimulationError("warm-up window never closed")
         memory_energy = memory.energy.minus(st.mem_mark)
         disk_energy = disk.energy.minus(st.disk_mark)
-        observed_s = duration_s - warmup_s
+        observed_s = duration_s - st.warmup_s
+        manager = self.manager
 
         return SimResult(
             label=self.label,
             duration_s=observed_s,
             memory_energy_j=memory_energy.total_j,
-            disk_energy_j=disk_energy.total_joules(machine.disk),
+            disk_energy_j=disk_energy.total_joules(self.machine.disk),
             memory_energy=memory_energy,
             disk_energy=disk_energy,
             total_accesses=metrics.total_accesses,
@@ -279,30 +357,25 @@ class SimulationEngine:
             replay_mode=self.last_replay_mode,
         )
 
-    # --- replay loops -----------------------------------------------------------
-
-    def _replay_scalar(
-        self, st: _ReplayState, trace: Trace, duration_s: float
-    ) -> None:
-        """The per-access reference loop (joint write-back runs,
-        profile-less replays, and the ``REPRO_KERNELS=0`` kill switch)."""
+    def _replay_scalar(self, st: _ReplayState, lo: int, hi: int) -> None:
+        """The per-access reference loop over ``[lo, hi)`` (joint
+        write-back runs, profile-less replays, the ``REPRO_KERNELS=0``
+        kill switch, and the misses of the write-carrying kernel)."""
         memory = self.memory
         manager = self.manager
         has_writes = st.has_writes
         drain_events = self._drain_events
         serve_miss = self._serve_miss
 
-        times = trace.times.tolist()
-        pages = trace.pages.tolist()
-        # Write-free traces (the common case) iterate a constant instead
+        times = st.times[lo:hi].tolist()
+        pages = st.pages[lo:hi].tolist()
+        # Write-free runs (the common case) iterate a constant instead
         # of materializing a [False] * n list or a tolist() copy.
         writes = (
-            trace.writes.tolist() if has_writes else itertools.repeat(False)
+            st.writes[lo:hi].tolist() if has_writes else itertools.repeat(False)
         )
 
         for now, page, is_write in zip(times, pages, writes):
-            if now >= duration_s:
-                break
             drain_events(st, now)
 
             if manager is not None:

@@ -1,66 +1,53 @@
-"""Vectorized replay kernels: segment-at-a-time trace consumption.
+"""Vectorized replay kernels: span-at-a-time trace consumption.
 
 The scalar engine loop dispatches one Python call chain per access.  On
 the dominant workload shapes the outcome of every access is already
-known before the replay starts: a
-:class:`repro.cache.profile.TraceProfile` gives each access's stack
-distance, and the LRU inclusion property turns distances into hits.
-These kernels exploit that to replay *runs of consecutive hits as single
-segments*: numpy locates the misses and the period boundaries, and
-everything between two such events collapses into two integer additions
-(metrics) plus one batched energy charge.  Misses, period boundaries,
-policy callbacks and disk accounting still run through the exact scalar
-code paths (:meth:`SimulationEngine._serve_miss` / ``_drain_events``),
-in the exact same order and with the exact same floating-point
-operations, so a fast replay is bit-identical to the scalar loop -- the
-differential ``kernels``/``epoch`` checks and ``tests/sim/test_kernels.py``
+known before the replay starts: per-access stack depths (a
+:class:`repro.cache.profile.TraceProfile` offline, the stream's
+incremental tracker online) and the LRU inclusion property turn depths
+into hits.  :meth:`SimulationEngine._walk` hands the kernels one *span*
+at a time -- every access between two period boundaries, so the cache
+capacity and the disk timeout are fixed inside it -- and each kernel
+replays its span with numpy classification and batched accounting.
+Misses, boundaries, policy callbacks and disk accounting run the exact
+scalar operations in the exact order, so a fast replay is bit-identical
+to the scalar loop -- the differential ``kernels``/``missrun``/
+``writes``/``epoch``/``stream`` checks and ``tests/sim/test_kernels.py``
 assert as much.
 
-Five fast modes exist:
+Five fast modes exist (:func:`select_mode`):
 
-* ``"vectorized"`` -- fixed-capacity read-only runs (no joint manager)
-  under a memory system that opted into profiled replay (nap,
-  power-down): one ``hit_mask`` call decides every access up front.
-* ``"missrun"`` -- the vectorized mode plus *batched misses*: when the
-  disk policy is request-blind (it overrides neither ``on_request`` nor
-  ``on_idle_start``, so the timeout can only change at period
-  boundaries) and the drive has no positioned service model, runs of
-  consecutive misses replay through :meth:`SimDisk.submit_run` -- the
-  per-miss busy/spin/wake recurrence advanced on local accumulators in
-  the scalar loop's exact float64 operation order -- with the
-  sequential-merge flags resolved by one vectorized compare, the
-  clusterer advanced by :meth:`ReadaheadClusterer.add_run`, and metrics
-  by :meth:`MetricsCollector.on_miss_run`.  Miss runs split at period
-  boundaries exactly like hit runs, so every boundary still fires
-  one at a time through the scalar ``_drain_events``.
-* ``"epoch"`` -- joint-manager runs.  Between two period boundaries the
-  cache capacity is fixed, so the replay walks the trace *epoch by
-  epoch*: each epoch's ``(times, depths)`` slice feeds the manager's
-  per-period log as one batch (:meth:`JointPowerManager.record_profiled`
-  -- the profile already holds exactly the depths the manager's own
-  tracker would have computed), hits collapse into segments at the
-  epoch's capacity, and every boundary fires one at a time through
-  ``_drain_events`` so each resize is observed before the next epoch is
-  classified.  Because the joint manager may resize *up*, the cache is
-  not always full; the kernel tracks the resident-page count ``r``
-  analytically (hit iff ``0 <= depth < r``; each miss grows ``r`` to
-  capacity; a down-resize clamps it), which is exactly the LRU stack's
-  inclusion behaviour.
+* ``"epoch"``, ``"missrun"`` and ``"vectorized"`` share
+  :func:`_profiled_span`: joint-manager runs on the nap model
+  (``"epoch"``; the span's ``(times, depths)`` feed the manager's
+  period log as one batch, :meth:`JointPowerManager.record_profiled`)
+  and fixed-capacity read-only runs under a memory system that opted
+  into profiled replay (nap, power-down).  The span is classified by
+  :func:`_epoch_misses` -- hit iff ``0 <= depth < resident``, where the
+  resident-page count grows by one per miss up to the capacity and is
+  re-clamped after a down-resize, exactly the LRU stack's inclusion
+  behaviour -- and its memory energy is charged in one
+  :meth:`MemorySystem.charge_hit_run` call (accounting is
+  hit/miss-agnostic).  Misses go one at a time through the scalar
+  ``_serve_miss``, or, when the disk policy is request-blind (it
+  overrides neither ``on_request`` nor ``on_idle_start``; a joint
+  manager moves the timeout only at boundaries) and the drive is
+  batchable, as runs through :func:`_serve_miss_run`
+  (:meth:`SimDisk.submit_run`, :meth:`MetricsCollector.on_miss_run`,
+  :meth:`ReadaheadClusterer.add_run`).  Fixed-capacity runs that batch
+  report ``"missrun"``, the others ``"vectorized"``.
 * ``"writes"`` -- fixed-capacity *write-carrying* runs under a
-  profiled-replay memory.  Write-back is write-allocate, so the LRU
-  evolves exactly as in a read-only replay and the profile's hit mask
-  stays valid; hit runs keep the live cache and dirty set in sync
-  through :meth:`MemorySystem.consume_hit_run_rw` (hits never evict, so
-  no flush can arise inside a run), and every miss, periodic flush
-  sweep and dirty eviction runs through the exact scalar
-  ``access_rw``/``_flush``/``_drain_events`` path.
-* ``"disable"`` -- the disable-state (2TDS) model on fixed-capacity
-  read-only runs.  Bank invalidations make the stack-distance profile
-  unusable (true reuse depths shrink when banks drop their pages), so
-  this mode needs *no profile*: the live ``_page_bank`` map is the
-  residency oracle, and :meth:`DisableMemorySystem.consume_hit_run`
-  consumes maximal pure-hit prefixes in a tight loop, falling back to
-  the scalar ``access`` at every miss/invalidation/resurrection.
+  profiled-replay memory (:func:`_writes_span`).  Write-back is
+  write-allocate, so the LRU evolves exactly as in a read-only replay
+  and the depths stay valid; hit runs keep the live cache and dirty set
+  in sync through :meth:`MemorySystem.consume_hit_run_rw`, split at the
+  periodic flush sweeps, and every miss runs the scalar loop.
+* ``"disable"`` -- the disable-state (2TDS) model on read-only runs
+  (:func:`_disable_span`).  Bank invalidations make stack depths
+  unusable, so this mode needs none: the live ``_page_bank`` map is the
+  residency oracle, :meth:`DisableMemorySystem.consume_hit_run`
+  consumes maximal pure-hit prefixes, and every other access runs the
+  scalar ``access``.
 
 Fallback conditions (any one routes the run through the scalar loop):
 
@@ -72,29 +59,19 @@ Fallback conditions (any one routes the run through the scalar loop):
   resizes under the live manager);
 * a disable-model run whose trace carries writes (invalidation spills
   interleave with the flush cadence);
-* no profile was supplied, or it does not cover the trace (except the
-  disable mode, which replays from live bank state alone).
+* no depths are available (offline: no profile, or one that does not
+  cover the trace), except for the disable mode.
 
-Additional conditions demote ``"missrun"`` to plain ``"vectorized"``
-(misses one at a time through the scalar ``_serve_miss``):
-
-* the disk policy overrides ``on_request`` or ``on_idle_start`` (it may
-  change the timeout mid-run, which the batched recurrence assumes
-  cannot happen);
-* the drive prices requests from geometry (a positioned service model);
-* the drive instance carries a ``submit``/``submit_run`` attribute
-  override (e.g. the runner's miss-time recorder), which the batch path
-  would bypass.
-
-Joint-manager (``"epoch"``) replays batch their misses the same way
-when the drive qualifies -- the manager only moves the timeout at
-period boundaries, so every epoch-interior miss run is timeout-free by
-construction -- without changing the reported mode name.
+Misses are served one at a time rather than batched when the disk
+policy overrides ``on_request`` or ``on_idle_start`` (it may change the
+timeout mid-span), when the drive prices requests from geometry (a
+positioned service model), or when the drive instance carries a
+``submit``/``submit_run`` override (e.g. the runner's miss-time
+recorder), which the batch path would bypass.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -126,8 +103,12 @@ def _policy_is_request_blind(policy) -> bool:
     ``NO_CHANGE`` -- so between two period boundaries the disk timeout
     is a constant and the whole per-miss policy round trip (including
     the idle-hint lookup feeding ``on_idle_start``) can be skipped.
-    Checked on the concrete class so any override opts out.
+    Checked on the concrete class so any override opts out.  A joint
+    run has no policy (``None``): its manager moves the timeout only at
+    period boundaries.
     """
+    if policy is None:
+        return True
     cls = type(policy)
     return (
         cls.on_request is DiskPolicy.on_request
@@ -153,19 +134,21 @@ def _batchable_disk(disk) -> bool:
 
 
 def select_mode(
-    engine, trace, profile: Optional[TraceProfile]
+    engine, has_writes: bool, depths: bool
 ) -> Tuple[str, Optional[str]]:
-    """Pick the replay mode for this run.
+    """Pick the replay mode for a run of ``engine``.
 
-    Returns ``(mode, reason)``: ``reason`` explains a scalar fallback and
-    is None when a fast mode applies.
+    ``has_writes`` says whether the accesses carry writes and ``depths``
+    whether their stack depths will be supplied (a covering profile
+    offline, the incremental tracker in a stream).  Returns ``(mode,
+    reason)``: ``reason`` explains a scalar fallback and is None when a
+    fast mode applies.
     """
     if not kernels_enabled():
         return MODE_SCALAR, "the $REPRO_KERNELS kill switch disables the fast paths"
-    has_writes = trace.writes is not None and bool(trace.writes.any())
     memory = engine.memory
     if engine.manager is None and type(memory) is DisableMemorySystem:
-        # The disable mode replays from live bank state: no profile needed.
+        # The disable mode replays from live bank state: no depths needed.
         if has_writes:
             return (
                 MODE_SCALAR,
@@ -173,10 +156,8 @@ def select_mode(
                 "needs the live scalar loop",
             )
         return MODE_DISABLE, None
-    if profile is None:
-        return MODE_SCALAR, "no trace profile supplied"
-    if len(profile) != trace.num_accesses:
-        return MODE_SCALAR, "profile does not cover the trace"
+    if not depths:
+        return MODE_SCALAR, "no trace profile covering the trace supplied"
     if engine.manager is not None:
         if has_writes:
             return (
@@ -205,66 +186,42 @@ def select_mode(
 
 
 def fast_path_reason(engine, trace, profile: Optional[TraceProfile]) -> Optional[str]:
-    """Why this run cannot take a fast path (None = it can)."""
-    return select_mode(engine, trace, profile)[1]
+    """Why a run of ``trace`` cannot take a fast path (None = it can)."""
+    has_writes = trace.writes is not None and bool(trace.writes.any())
+    covered = profile is not None and len(profile) == trace.num_accesses
+    return select_mode(engine, has_writes, covered)[1]
 
 
-def replay_vectorized(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one fixed-capacity replay through the segmented fast path.
+def _profiled_span(engine, st, lo: int, hi: int) -> None:
+    """Replay the read-only span ``[lo, hi)`` of one epoch from its depths.
 
-    ``st`` is the engine's mutable :class:`_ReplayState`; events and
-    misses go through the same engine methods the scalar loop uses.
+    The ``"epoch"``, ``"missrun"`` and ``"vectorized"`` kernel.  No event
+    falls inside the span, so the memory accrual of all its accesses is
+    one :meth:`MemorySystem.charge_hit_run` call (it charges exactly what
+    the per-access loop charges, in the same order), its hits fold into
+    one metrics addition, and only the misses are served.
     """
-    times = trace.times
-    pages = trace.pages
-    # Scalar loop: `if now >= duration_s: break` -- keep accesses < duration.
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-
     memory = engine.memory
-    drain = engine._drain_events
-    serve_miss = engine._serve_miss
-    pos = 0
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(engine, st, memory, times, pages, pos, m, duration_s)
-        now = float(times[m])
-        page = int(pages[m])
-        drain(st, now)
-        memory.charge_page_access(now, page)
-        serve_miss(st, now, page)
-        pos = m + 1
-    if pos < n:
-        _consume_hits(engine, st, memory, times, pages, pos, n, duration_s)
-
-
-def replay_missrun(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """The vectorized replay with runs of consecutive misses batched.
-
-    Hit runs collapse exactly as in :func:`replay_vectorized`; miss runs
-    go through :func:`_serve_missrun_span`, which splits them at period
-    boundaries and serves each boundary-free stretch in one pass through
-    the batched disk/metrics/clusterer recurrences.  Eligibility
-    (:func:`select_mode`) guarantees no timeout can move inside a
-    stretch: the policy is request-blind and the trace carries no
-    writes, so the only interior events are period boundaries.
-    """
-    times = trace.times
-    pages = trace.pages
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-
-    memory = engine.memory
-    pos = 0
-    for lo, hi in _miss_runs(miss_indices):
-        if pos < lo:
-            _consume_hits(engine, st, memory, times, pages, pos, lo, duration_s)
-        _serve_missrun_span(engine, st, memory, times, pages, lo, hi, duration_s)
-        pos = hi
-    if pos < n:
-        _consume_hits(engine, st, memory, times, pages, pos, n, duration_s)
+    times = st.times
+    pages = st.pages
+    depths = st.depths
+    if engine.manager is not None:
+        # The manager reads its period log only at end_period, so feeding
+        # the span ahead of its misses equals the scalar loop's
+        # interleaved record_access calls.
+        engine.manager.record_profiled(times[lo:hi], depths[lo:hi])
+    misses, st.resident = _epoch_misses(
+        depths, lo, hi, st.resident, memory.capacity_pages
+    )
+    memory.charge_hit_run(times, pages, lo, hi)
+    st.metrics.on_hits(hi - lo - misses.size)
+    if st.batch_misses:
+        for run_lo, run_hi in _miss_runs(misses):
+            _serve_miss_run(engine, st, run_lo, run_hi)
+    else:
+        serve_miss = engine._serve_miss
+        for now, page in zip(times[misses].tolist(), pages[misses].tolist()):
+            serve_miss(st, now, page)
 
 
 def _miss_runs(miss_indices: np.ndarray):
@@ -278,55 +235,22 @@ def _miss_runs(miss_indices: np.ndarray):
         yield lo, hi + 1
 
 
-def _serve_missrun_span(
-    engine, st, memory, times, pages, lo: int, hi: int, duration_s: float
-) -> None:
-    """Serve the all-miss span ``[lo, hi)``, firing events in time order.
+def _serve_miss_run(engine, st, lo: int, hi: int) -> None:
+    """Serve the all-miss stretch ``[lo, hi)`` of one span batched.
 
-    The miss-run twin of :func:`_consume_hits`: each pending period
-    boundary (the only interior event -- miss-run eligibility excludes
-    writes) splits the span with one ``searchsorted``, the boundary-free
-    stretch batches through :func:`_serve_miss_run`, and the boundary
-    itself fires through the scalar ``_drain_events``.  An access at
-    exactly the boundary fires the boundary first (``side='left'``),
-    matching the scalar loop.
-    """
-    while lo < hi:
-        flush_at = st.next_flush if st.has_writes else math.inf
-        event_at = min(flush_at, st.next_boundary)
-        if event_at > duration_s:
-            cut = hi
-        else:
-            cut = min(max(int(np.searchsorted(times, event_at, side="left")), lo), hi)
-        if cut > lo:
-            _serve_miss_run(engine, st, memory, times, pages, lo, cut)
-            lo = cut
-        if lo < hi:
-            engine._drain_events(st, float(times[lo]))
-            flush_after = st.next_flush if st.has_writes else math.inf
-            if min(flush_after, st.next_boundary) == event_at:
-                raise SimulationError(
-                    "miss-run replay made no progress at a pending event"
-                )
-
-
-def _serve_miss_run(engine, st, memory, times, pages, lo: int, hi: int) -> None:
-    """Serve the boundary-free all-miss stretch ``[lo, hi)`` batched.
-
-    Exactly what ``hi - lo`` iterations of ``charge_page_access`` +
-    ``_serve_miss`` would do.  The scalar loop interleaves four objects
-    per miss -- memory energy, the drive, metrics, the clusterer -- but
-    their accumulators are disjoint, so advancing each object over the
-    whole stretch in its own pass preserves every object's internal
-    floating-point operation order bit-exactly.  The per-miss policy
-    hooks are skipped entirely: eligibility guarantees they are the
-    base-class no-ops.
+    Exactly what ``hi - lo`` iterations of ``_serve_miss`` would do.
+    The scalar loop interleaves three objects per miss -- the drive,
+    metrics, the clusterer -- but their accumulators are disjoint, so
+    advancing each object over the whole stretch in its own pass
+    preserves every object's internal floating-point operation order
+    bit-exactly.  The per-miss policy hooks are skipped entirely:
+    eligibility guarantees they are the base-class no-ops.
     """
     # Deferred: engine.py imports this module at its own top level.
     from repro.sim.engine import SEQUENTIAL_MERGE_WINDOW_S
 
-    run_times = times[lo:hi]
-    run_pages = pages[lo:hi]
+    run_times = st.times[lo:hi]
+    run_pages = st.pages[lo:hi]
     n = hi - lo
     # The scalar flag: next page in sequence, within the merge window.
     # Element 0 continues the previous miss (possibly many hit runs and
@@ -345,7 +269,6 @@ def _serve_miss_run(engine, st, memory, times, pages, lo: int, hi: int) -> None:
     services = _miss_run_services(engine.disk.service, seq)
     times_list = run_times.tolist()
 
-    memory.charge_miss_run(times, pages, lo, hi)
     latencies, wake_delays = engine.disk.submit_run(times_list, services)
     st.metrics.on_miss_run(times_list, latencies, wake_delays)
     completed = st.clusterer.add_run(times_list, run_pages.tolist())
@@ -367,110 +290,66 @@ def _miss_run_services(service, seq: np.ndarray):
     return np.where(seq, svc_seq, svc_first).tolist()
 
 
-def replay_writes(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one fixed-capacity write-carrying replay through segments.
+def _writes_span(engine, st, lo: int, hi: int) -> None:
+    """Replay the write-carrying span ``[lo, hi)`` of one epoch.
 
-    Write-back is write-allocate: :meth:`MemorySystem.access_rw` loads
-    on every miss (read or write), so the LRU evolves exactly as in a
-    read-only replay and ``hit_mask`` classifies every access up front.
-    Hit runs go through :meth:`MemorySystem.consume_hit_run_rw`, which
-    keeps the live cache order and dirty set in step; misses, dirty
-    evictions and periodic flush sweeps run the exact scalar path.
+    Write-allocate keeps the LRU evolution read-identical, so the depths
+    classify every access; hit runs go through :func:`_consume_hits`,
+    and each miss run -- misses, dirty evictions, the flush sweeps they
+    reach -- through the scalar loop.
     """
-    times = trace.times
-    pages = trace.pages
-    writes = trace.writes
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-    _replay_writes_inner(
-        engine, st, engine.memory, times, pages, writes,
-        miss_indices, 0, n, duration_s,
+    misses, st.resident = _epoch_misses(
+        st.depths, lo, hi, st.resident, engine.memory.capacity_pages
     )
-
-
-def _replay_writes_inner(
-    engine, st, memory, times, pages, writes, miss_indices,
-    lo: int, hi: int, duration_s: float,
-) -> None:
-    """Replay ``[lo, hi)`` of a write-carrying trace given its misses.
-
-    Shared by :func:`replay_writes` (misses from the profile's hit
-    mask) and the streaming manager (misses from the incremental
-    tracker's depth window).
-    """
-    drain = engine._drain_events
-    serve_miss = engine._serve_miss
-    flush = engine._flush
     pos = lo
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(
-                engine, st, memory, times, pages, pos, m, duration_s,
-                writes=writes,
-            )
-        now = float(times[m])
-        page = int(pages[m])
-        is_write = bool(writes[m])
-        drain(st, now)
-        hit = memory.access_rw(now, page, is_write)
-        pending = memory.take_pending_flushes()
-        if pending:
-            st.last_flush_page = flush(now, pending, st.metrics, st.last_flush_page)
-        if is_write:
-            if hit:
-                st.metrics.on_hit(now)
-            else:
-                st.metrics.on_write(now)
-        elif hit:
-            st.metrics.on_hit(now)
-        else:
-            serve_miss(st, now, page)
-        pos = m + 1
+    for run_lo, run_hi in _miss_runs(misses):
+        if pos < run_lo:
+            _consume_hits(engine, st, pos, run_lo)
+        engine._replay_scalar(st, run_lo, run_hi)
+        pos = run_hi
     if pos < hi:
-        _consume_hits(
-            engine, st, memory, times, pages, pos, hi, duration_s,
-            writes=writes,
-        )
+        _consume_hits(engine, st, pos, hi)
 
 
-def replay_disable(engine, st, trace, duration_s: float) -> None:
-    """Drive one disable-model (2TDS) replay epoch by epoch, profile-free.
+def _consume_hits(engine, st, lo: int, hi: int) -> None:
+    """Account the write-trace hit run ``[lo, hi)``, firing flush sweeps.
 
-    Mirrors :func:`replay_epoch`'s boundary walk (period closings and
-    policy callbacks must see hits attributed to the right period);
-    within an epoch, :meth:`DisableMemorySystem.consume_hit_run`
-    consumes maximal pure-hit prefixes against the live bank map and
-    every stopping access replays through the exact scalar ``access``.
+    Each pending sweep splits the run with one ``searchsorted``, so a
+    sweep at ``flush_at`` sees exactly the dirty marks of accesses
+    before it.  An access at exactly the sweep time fires the sweep
+    first (matching the scalar ``drain_events`` ordering), hence
+    ``side='left'``.
     """
-    times = trace.times
-    pages = trace.pages
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    memory = engine.memory
-    drain = engine._drain_events
-    pos = 0
-    while pos < n:
-        boundary = st.next_boundary
-        if boundary > st.duration_s:
-            end = n
+    times = st.times
+    while lo < hi:
+        event_at = min(st.next_flush, st.next_boundary)
+        if event_at > st.duration_s:
+            cut = hi
         else:
-            end = min(int(np.searchsorted(times, boundary, side="left")), n)
-        if end > pos:
-            _replay_disable_span(engine, st, memory, times, pages, pos, end)
-            pos = end
-            if pos >= n:
-                break
-        drain(st, boundary)
+            cut = min(max(int(np.searchsorted(times, event_at, side="left")), lo), hi)
+        if cut > lo:
+            engine.memory.consume_hit_run_rw(times, st.pages, st.writes, lo, cut)
+            st.metrics.on_hits(cut - lo)
+            lo = cut
+        if lo < hi:
+            engine._drain_events(st, float(times[lo]))
+            if min(st.next_flush, st.next_boundary) == event_at:
+                raise SimulationError(
+                    "write replay made no progress at a pending event"
+                )
 
 
-def _replay_disable_span(engine, st, memory, times, pages, lo: int, hi: int) -> None:
-    """Replay ``[lo, hi)`` (no interior events) via pure-hit prefixes.
+def _disable_span(engine, st, lo: int, hi: int) -> None:
+    """Replay the read-only span ``[lo, hi)`` of one 2TDS epoch.
 
-    Shared by :func:`replay_disable` and the streaming manager; the
-    caller guarantees no period boundary or flush falls inside the
-    span, so the interior ``drain`` calls are order-keeping no-ops.
+    :meth:`DisableMemorySystem.consume_hit_run` consumes each maximal
+    pure-hit prefix against the live bank map; the access it stops at
+    (a miss, an invalidation or a resurrection) replays through the
+    scalar ``access``.
     """
-    drain = engine._drain_events
+    memory = engine.memory
+    times = st.times
+    pages = st.pages
     serve_miss = engine._serve_miss
     pos = lo
     while pos < hi:
@@ -482,7 +361,6 @@ def _replay_disable_span(engine, st, memory, times, pages, lo: int, hi: int) -> 
                 break
         now = float(times[pos])
         page = int(pages[pos])
-        drain(st, now)
         if memory.access(now, page):
             st.metrics.on_hit(now)
         else:
@@ -490,120 +368,20 @@ def _replay_disable_span(engine, st, memory, times, pages, lo: int, hi: int) -> 
         pos += 1
 
 
-def replay_epoch(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one joint-manager replay epoch by epoch.
-
-    Within an epoch the capacity is fixed; every boundary fires
-    individually through ``_drain_events`` (running ``end_period`` and
-    the resize through the scalar code path), and the resident-page
-    count is re-clamped after each so the next epoch's hit
-    classification sees every intermediate resize.
-    """
-    times = trace.times
-    pages = trace.pages
-    depths = profile.depths
-    n = int(np.searchsorted(times, duration_s, side="left"))
-
-    memory = engine.memory
-    manager = engine.manager
-    drain = engine._drain_events
-
-    # The joint manager only moves the timeout at period boundaries, so
-    # every epoch-interior miss run is timeout-free and may batch
-    # through submit_run whenever the drive itself qualifies.
-    batch_misses = _batchable_disk(engine.disk)
-
-    # Invariant: the resident set is the top-`resident` pages of the
-    # full-history LRU stack, so an access hits iff 0 <= depth < resident.
-    # Holds after prefill (the warm start keeps the hottest tail -- the
-    # stack top) and is maintained below: hits reorder within the top,
-    # each miss loads at the top (growing the set until it reaches
-    # capacity), and a shrink evicts from the bottom.
-    resident = len(memory.cache)
-
-    pos = 0
-    while pos < n:
-        boundary = st.next_boundary
-        if boundary > st.duration_s:
-            end = n
-        else:
-            # An access exactly at the boundary belongs to the next
-            # epoch: the scalar loop drains events before recording it.
-            end = min(int(np.searchsorted(times, boundary, side="left")), n)
-        if end > pos:
-            resident = _replay_epoch_segment(
-                engine, st, memory, manager, times, pages, depths,
-                pos, end, duration_s, resident, batch_misses,
-            )
-            pos = end
-            if pos >= n:
-                break
-        # The next access sits at or past the boundary: fire exactly this
-        # boundary (end_period + resize + timeout through the scalar
-        # path), then observe the resize before classifying further.
-        drain(st, boundary)
-        resident = min(resident, memory.capacity_pages)
-
-
-def _replay_epoch_segment(
-    engine, st, memory, manager, times, pages, depths,
-    lo: int, hi: int, duration_s: float, resident: int,
-    batch_misses: bool = False,
-) -> int:
-    """Replay accesses ``[lo, hi)`` of one epoch; returns the new resident count."""
-    capacity = memory.capacity_pages
-    # Feed the whole epoch's per-period log in one batch.  The manager
-    # only reads it at end_period, so batching ahead of the misses is
-    # equivalent to the scalar loop's interleaved record_access calls.
-    manager.record_profiled(times[lo:hi], depths[lo:hi])
-
-    miss_indices, resident = _epoch_misses(depths, lo, hi, resident, capacity)
-
-    if batch_misses:
-        # The segment lies strictly inside one epoch, so no boundary (or
-        # flush -- epoch mode excludes writes) can interrupt a miss run:
-        # the per-miss drain calls of the scalar walk below are no-ops
-        # and each run serves in one batched pass.
-        pos = lo
-        for run_lo, run_hi in _miss_runs(miss_indices):
-            if pos < run_lo:
-                _consume_hits(
-                    engine, st, memory, times, pages, pos, run_lo, duration_s
-                )
-            _serve_miss_run(engine, st, memory, times, pages, run_lo, run_hi)
-            pos = run_hi
-        if pos < hi:
-            _consume_hits(engine, st, memory, times, pages, pos, hi, duration_s)
-        return resident
-
-    serve_miss = engine._serve_miss
-    drain = engine._drain_events
-    pos = lo
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(engine, st, memory, times, pages, pos, m, duration_s)
-        now = float(times[m])
-        page = int(pages[m])
-        drain(st, now)
-        memory.charge_page_access(now, page)
-        serve_miss(st, now, page)
-        pos = m + 1
-    if pos < hi:
-        _consume_hits(engine, st, memory, times, pages, pos, hi, duration_s)
-    return resident
-
-
 def _epoch_misses(
     depths, lo: int, hi: int, resident: int, capacity: int
 ) -> Tuple[np.ndarray, int]:
     """Miss indices within ``[lo, hi)`` at fixed ``capacity``.
 
-    Returns ``(global_miss_indices, resident_after)``.  With the cache
-    full (``resident == capacity``) the Mattson rule vectorizes
-    directly.  After an up-resize the cache is partially filled: only
-    accesses that are cold or reach at least the starting resident count
-    can miss, and each miss grows the resident set by one until it hits
-    capacity -- walk exactly those candidates, then vectorize the rest.
+    Returns ``(global_miss_indices, resident_after)``.  The resident set
+    is the top ``resident`` pages of the full-history LRU stack, so an
+    access hits iff ``0 <= depth < resident``; each miss grows the set
+    by one up to ``capacity``.  With the cache full that is the plain
+    Mattson rule, vectorized.  Partially filled (after an up-resize, or
+    a cold start that has not filled the cache yet), an access that is
+    cold or reaches the capacity misses regardless; only the ones in
+    ``[resident, capacity)`` depend on how far the set has grown by
+    then, and only those are walked.
     """
     window = depths[lo:hi]
     if resident >= capacity:
@@ -611,63 +389,19 @@ def _epoch_misses(
         return np.flatnonzero(miss) + lo, resident
 
     candidates = np.flatnonzero((window == COLD) | (window >= resident))
-    cand_depths = window[candidates].tolist()
-    cand_list = candidates.tolist()
-    misses = []
-    for j, depth in enumerate(cand_depths):
-        if resident >= capacity:
-            # Filled up mid-epoch: the remaining candidates follow the
-            # full-cache rule.
-            rest = candidates[j:]
-            rest_d = window[rest]
-            rest_miss = rest[(rest_d == COLD) | (rest_d >= capacity)]
-            return (
-                np.concatenate(
-                    [np.asarray(misses, dtype=np.int64), rest_miss]
-                ) + lo,
-                resident,
-            )
-        if depth != COLD and depth < resident:
-            # The cache grew past this depth since the candidate scan.
-            continue
-        misses.append(cand_list[j])
-        resident += 1
-    return np.asarray(misses, dtype=np.int64) + lo, resident
-
-
-def _consume_hits(
-    engine, st, memory, times, pages, lo: int, hi: int, duration_s: float,
-    writes=None,
-) -> None:
-    """Account the hit run ``times[lo:hi]``, firing events in time order.
-
-    Within the run the pending events are period boundaries and -- for
-    write-carrying replays (``writes`` given) -- periodic flush sweeps;
-    each splits the run with one ``searchsorted``, so a sweep at
-    ``flush_at`` sees exactly the dirty marks of accesses before it.
-    An access at exactly the event time fires the event first (matching
-    the scalar ``drain_events`` ordering), hence ``side='left'``.
-    """
-    while lo < hi:
-        flush_at = st.next_flush if st.has_writes else math.inf
-        event_at = min(flush_at, st.next_boundary)
-        if event_at > duration_s:
-            cut = hi
-        else:
-            cut = min(max(int(np.searchsorted(times, event_at, side="left")), lo), hi)
-        count = cut - lo
-        if count > 0:
-            if writes is None:
-                memory.charge_hit_run(times, pages, lo, cut)
-            else:
-                memory.consume_hit_run_rw(times, pages, writes, lo, cut)
-            st.metrics.on_hits(count)
-            lo = cut
-        if lo < hi:
-            drained_until = float(times[lo])
-            engine._drain_events(st, drained_until)
-            flush_after = st.next_flush if st.has_writes else math.inf
-            if min(flush_after, st.next_boundary) == event_at:
-                raise SimulationError(
-                    "vectorized replay made no progress at a pending event"
-                )
+    cand_depths = window[candidates]
+    miss = (cand_depths == COLD) | (cand_depths >= capacity)
+    undecided = np.flatnonzero(~miss)
+    if undecided.size:
+        # Misses before candidate j: the certain ones (a prefix count)
+        # plus the undecided ones walked so far.
+        certain_before = (np.cumsum(miss) - miss)[undecided].tolist()
+        grown = 0
+        for j, depth, before in zip(
+            undecided.tolist(), cand_depths[undecided].tolist(), certain_before
+        ):
+            if depth >= min(resident + before + grown, capacity):
+                miss[j] = True
+                grown += 1
+    resident = min(resident + int(np.count_nonzero(miss)), capacity)
+    return candidates[miss] + lo, resident

@@ -914,8 +914,10 @@ def check_epoch(case: VerifyCase) -> Optional[str]:
 
 #: Method families the stream check rotates through: the four joint
 #: ablations (stream-epoch; stream-scalar when the fuzz adds writes),
-#: two profiled-replay fixed-timeout methods (stream-vectorized, or
-#: stream-writes under writes) and the disable model (stream-disable).
+#: two profiled-replay fixed-timeout methods (stream-missrun, or
+#: stream-writes under writes), two with the request-aware adaptive
+#: policy (stream-vectorized, whose misses run the per-miss policy
+#: hooks) and the disable model (stream-disable).
 _STREAM_METHODS = (
     "JOINT",
     "JOINT-NC",
@@ -923,6 +925,8 @@ _STREAM_METHODS = (
     "JOINT-TO",
     "2TNAP",
     "2TPD",
+    "ADNAP",
+    "ADPD",
     "2TDS",
 )
 

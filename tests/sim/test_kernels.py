@@ -73,6 +73,30 @@ def _assert_identical(fast, slow, mode=kernels.MODE_VECTORIZED):
         assert diff is None, diff
 
 
+def _clip_input(trace, duration_s, tied):
+    """``trace``, or with one more access exactly at ``duration_s``.
+
+    The access at the duration must be cut off: every replay keeps only
+    accesses strictly before it.
+    """
+    if not tied:
+        return trace
+    k = int(np.searchsorted(trace.times, duration_s, side="left"))
+    writes = trace.writes
+    return Trace(
+        times=np.insert(trace.times, k, duration_s),
+        pages=np.insert(trace.pages, k, trace.pages[0]),
+        page_size=trace.page_size,
+        writes=None if writes is None else np.insert(writes, k, True),
+    )
+
+
+def _observed(trace, warmup_s, duration_s):
+    """Accesses a run of ``trace`` counts: those in ``[warmup_s, duration_s)``."""
+    times = trace.times
+    return int(np.count_nonzero((times >= warmup_s) & (times < duration_s)))
+
+
 class TestIdentity:
     # Request-blind policies (2T, always-on) batch their misses through
     # submit_run ("missrun"); request-aware ones (PT/EA/AD/OR) must see
@@ -108,9 +132,20 @@ class TestIdentity:
     def test_warmup_and_duration_clipping(self, trace, machine):
         period = machine.manager.period_s
         kwargs = dict(duration_s=3 * period, warmup_s=period)
-        fast = run_method("2TFM-16GB", trace, machine, profile="auto", **kwargs)
-        slow = run_method("2TFM-16GB", trace, machine, profile=None, **kwargs)
-        _assert_identical(fast, slow, mode=kernels.MODE_MISSRUN)
+        for tied in (False, True):
+            clipped = _clip_input(trace, 3 * period, tied)
+            for method, mode in (
+                ("2TFM-16GB", kernels.MODE_MISSRUN),
+                ("ADFM-16GB", kernels.MODE_VECTORIZED),
+            ):
+                fast = run_method(
+                    method, clipped, machine, profile="auto", **kwargs
+                )
+                slow = run_method(
+                    method, clipped, machine, profile=None, **kwargs
+                )
+                _assert_identical(fast, slow, mode=mode)
+                assert fast.total_accesses == _observed(clipped, period, 3 * period)
 
     def test_seeded_verify_corpus(self):
         # The differential check compares every SimResult field exactly;
@@ -167,15 +202,40 @@ class TestEpochIdentity:
     def test_warmup_and_multi_period(self, trace, machine):
         period = machine.manager.period_s
         kwargs = dict(duration_s=3 * period, warmup_s=period)
-        fast = run_method("JOINT", trace, machine, profile="auto", **kwargs)
-        slow = run_method("JOINT", trace, machine, profile=None, **kwargs)
-        _assert_identical(fast, slow, mode=kernels.MODE_EPOCH)
+        for tied in (False, True):
+            clipped = _clip_input(trace, 3 * period, tied)
+            fast = run_method("JOINT", clipped, machine, profile="auto", **kwargs)
+            slow = run_method("JOINT", clipped, machine, profile=None, **kwargs)
+            _assert_identical(fast, slow, mode=kernels.MODE_EPOCH)
+            assert fast.total_accesses == _observed(clipped, period, 3 * period)
 
     def test_seeded_verify_corpus(self):
         # The epoch differential check stretches each fuzz case across
         # several periods and rotates through the joint ablations.
         for seed in range(20):
             assert CHECKS["epoch"](random_case(seed)) is None
+
+    def test_epoch_misses_match_per_access_walk(self):
+        # The reference: one access at a time, hit iff the depth is
+        # below the resident count, which each miss grows to capacity.
+        def walk(depths, resident, capacity):
+            misses = []
+            for i, depth in enumerate(depths.tolist()):
+                if 0 <= depth < resident:
+                    continue
+                misses.append(i)
+                resident = min(resident + 1, capacity)
+            return misses, resident
+
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            capacity = int(rng.integers(0, 30))
+            resident = int(rng.integers(0, capacity + 1))
+            depths = rng.integers(-1, 40, int(rng.integers(0, 40)))
+            misses, after = kernels._epoch_misses(
+                depths, 0, depths.size, resident, capacity
+            )
+            assert (misses.tolist(), after) == walk(depths, resident, capacity)
 
     def test_joint_with_writes_stays_scalar(self, machine):
         writeful = generate_trace(
@@ -244,9 +304,12 @@ class TestWriteIdentity:
         period = machine.manager.period_s
         writeful = _write_trace(machine, seed=9, duration_s=4 * period)
         kwargs = dict(duration_s=3 * period, warmup_s=period)
-        fast = run_method("2TFM-16GB", writeful, machine, profile="auto", **kwargs)
-        slow = run_method("2TFM-16GB", writeful, machine, profile=None, **kwargs)
-        _assert_identical(fast, slow, mode=kernels.MODE_WRITES)
+        for tied in (False, True):
+            clipped = _clip_input(writeful, 3 * period, tied)
+            fast = run_method("2TFM-16GB", clipped, machine, profile="auto", **kwargs)
+            slow = run_method("2TFM-16GB", clipped, machine, profile=None, **kwargs)
+            _assert_identical(fast, slow, mode=kernels.MODE_WRITES)
+            assert fast.total_accesses == _observed(clipped, period, 3 * period)
 
     def test_write_heavy_trace(self, machine):
         writeful = _write_trace(machine, seed=13, write_fraction=0.8)
@@ -288,10 +351,14 @@ class TestDisableIdentity:
     def test_warmup_and_duration_clipping(self, trace, machine, monkeypatch):
         period = machine.manager.period_s
         kwargs = dict(duration_s=3 * period, warmup_s=period)
-        fast = run_method("2TDS", trace, machine, profile="auto", **kwargs)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        slow = run_method("2TDS", trace, machine, profile="auto", **kwargs)
-        _assert_identical(fast, slow, mode=kernels.MODE_DISABLE)
+        for tied in (False, True):
+            clipped = _clip_input(trace, 3 * period, tied)
+            monkeypatch.delenv("REPRO_KERNELS", raising=False)
+            fast = run_method("2TDS", clipped, machine, profile="auto", **kwargs)
+            monkeypatch.setenv("REPRO_KERNELS", "0")
+            slow = run_method("2TDS", clipped, machine, profile="auto", **kwargs)
+            _assert_identical(fast, slow, mode=kernels.MODE_DISABLE)
+            assert fast.total_accesses == _observed(clipped, period, 3 * period)
 
     def test_disable_with_writes_stays_scalar(self, machine):
         # Flush sweeps interleave with invalidation-driven residency

@@ -169,20 +169,46 @@ class TestParser:
         assert doc["entries"]["sweep_speedup"]["value"] > 0
         assert "sweep_speedup" in capsys.readouterr().out
 
-    def test_bench_check_against_own_baseline(self, capsys, tmp_path):
-        out = tmp_path / "out"
+    def _own_baseline(self, tmp_path, monkeypatch, scale_ratios=1.0):
+        """Measure the micro suite once into a fresh baseline, then make
+        every later run return that document (ratios times
+        ``scale_ratios``).  A second real measurement would draw its
+        ratios from whatever host state it happened to meet."""
+        import copy
+        import json
+
+        import repro.perf
+
         base = tmp_path / "baselines"
         assert main(
             ["bench", "--suite", "micro", "--quick",
-             "--out-dir", str(out), "--update-baselines",
+             "--out-dir", str(tmp_path / "out"), "--update-baselines",
              "--baseline-dir", str(base)]
         ) == 0
-        assert main(
-            ["bench", "--suite", "micro", "--quick",
-             "--out-dir", str(out), "--check",
-             "--baseline-dir", str(base)]
-        ) == 0
-        assert "baseline check [micro]" in capsys.readouterr().out
+        doc = json.loads((base / "BENCH_micro.json").read_text())
+        rerun = copy.deepcopy(doc)
+        for entry in rerun["entries"].values():
+            if entry.get("kind") == "ratio":
+                entry["value"] *= scale_ratios
+        monkeypatch.setattr(repro.perf, "run_suite", lambda suite, quick: rerun)
+        return ["bench", "--suite", "micro", "--quick",
+                "--out-dir", str(tmp_path / "out"), "--check",
+                "--baseline-dir", str(base)]
+
+    def test_bench_check_against_own_baseline(self, capsys, tmp_path, monkeypatch):
+        check = self._own_baseline(tmp_path, monkeypatch)
+        assert main(check) == 0
+        out = capsys.readouterr().out
+        assert "baseline check [micro]" in out
+        assert "REGRESSED" not in out
+
+    def test_bench_check_flags_a_regressed_ratio(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Half the baseline is below the 30 % tolerance's floor.
+        check = self._own_baseline(tmp_path, monkeypatch, scale_ratios=0.5)
+        assert main(check) == 1
+        assert "REGRESSED" in capsys.readouterr().out
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as excinfo:

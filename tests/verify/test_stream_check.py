@@ -44,11 +44,7 @@ def test_catches_boundary_off_by_one(monkeypatch):
 
 def test_catches_dropped_partial_batch(monkeypatch):
     """A close() that silently drops the still-buffered tail of the stream."""
-    monkeypatch.setattr(
-        StreamingManager,
-        "_drain_pending",
-        lambda self, cutoff, duration_s: None,
-    )
+    monkeypatch.setattr(StreamingManager, "_replay_tail", lambda self: None)
     seed, diff = _first_divergence()
     assert diff is not None, "dropped partial batch escaped the stream check"
 
