@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from repro import generate_trace, scaled_machine
 from repro.experiments.formatting import render_table
+from repro.fleet import FleetEngine, PartitionedLayout, StripedLayout
 from repro.memory.system import NapMemorySystem
-from repro.multidisk.engine import MultiDiskEngine
-from repro.multidisk.layout import PartitionedLayout, StripedLayout
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.sim.prefill import warm_start_pages
 from repro.units import GB, MB
@@ -31,7 +30,7 @@ DATASET_GB = 8
 def run_layout(machine, trace, layout, label):
     memory = NapMemorySystem(machine.memory, 8 * GB)
     memory.prefill(warm_start_pages(trace))
-    engine = MultiDiskEngine(
+    engine = FleetEngine(
         machine,
         memory,
         layout,

@@ -9,9 +9,9 @@ This class mirrors the paper's worked example exactly: a bounded list of
 page tags ordered by recency, split conceptually into resident (top
 ``resident_pages`` items) and replaced ("ghost") entries, with one counter
 per list position.  It is the readable reference implementation; the
-production path uses :class:`~repro.cache.stack_distance.StackDistanceTracker`
-plus :class:`~repro.cache.counters.DepthCounters`, which computes identical
-counters in logarithmic time (equivalence is property-tested).
+production path is :class:`~repro.cache.stack_distance.StackDistanceTracker`
+and :meth:`~repro.cache.profile.TraceProfile.hit_counts`, which compute
+identical counters from one numpy pass (equivalence is property-tested).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional
 
-from repro.cache.counters import COLD_MISS
+from repro.cache.stack_distance import COLD
 from repro.errors import SimulationError
 
 
@@ -66,7 +66,7 @@ class ExtendedLRUList:
     # --- operation --------------------------------------------------------------
 
     def access(self, page: int) -> int:
-        """Record an access; return its 0-based list position (:data:`COLD_MISS`
+        """Record an access; return its 0-based list position (:data:`COLD`
         if the page fell off the list or was never seen).
 
         The position is the stack depth: the access hits a memory of ``m``
@@ -81,7 +81,7 @@ class ExtendedLRUList:
         if len(self._list) >= self._slots:
             self._list.popitem(last=False)
         self._list[page] = None
-        return COLD_MISS
+        return COLD
 
     def resize_resident(self, resident_pages: int) -> None:
         """Move the resident/replaced boundary (memory grew or shrank).

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cache.counters import DepthCounters
-from repro.cache.stack_distance import StackDistanceTracker
+from repro.cache.profile import build_profile
+from repro.cache.stack_distance import COLD
 from repro.errors import TraceError
 from repro.traces.trace import Trace
 
@@ -83,16 +83,17 @@ def build_mrc(trace: Trace, max_pages: int | None = None) -> MissRatioCurve:
     """One-pass exact LRU miss-ratio curve of a trace."""
     if trace.num_accesses == 0:
         raise TraceError("cannot build a curve from an empty trace")
-    counters = DepthCounters()
-    counters.record_many(StackDistanceTracker().access_array(trace.pages))
+    profile = build_profile(trace, warm_start=False)
     if max_pages is None:
-        max_pages = max(counters.max_depth + 1, 1)
-    misses = counters.miss_ratio_curve(max_pages)
+        max_pages = max(int(profile.depths.max()) + 1, 1)
+    if max_pages < 0:
+        raise TraceError("cache size must be non-negative")
+    misses = profile.miss_counts(np.arange(max_pages + 1))
     return MissRatioCurve(
         ratios=misses / trace.num_accesses,
         page_size=trace.page_size,
         total_accesses=trace.num_accesses,
-        cold_misses=counters.cold_misses,
+        cold_misses=int(np.count_nonzero(profile.depths == COLD)),
     )
 
 

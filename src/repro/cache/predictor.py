@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.cache.counters import COLD_MISS
+from repro.cache.stack_distance import COLD
 from repro.errors import SimulationError
 from repro.stats.intervals import IdleIntervals, extract_idle_intervals
 
@@ -90,7 +90,7 @@ class ResizePredictor:
         """Record one disk-cache access and its stack depth."""
         if time_s < self._last_time:
             raise SimulationError("accesses must be recorded in time order")
-        if depth < COLD_MISS:
+        if depth < COLD:
             raise SimulationError(f"invalid depth {depth}")
         self._reserve(1)
         self._times[self._size] = time_s
@@ -115,7 +115,7 @@ class ResizePredictor:
             return
         if times[0] < self._last_time or np.any(np.diff(times) < 0.0):
             raise SimulationError("accesses must be recorded in time order")
-        bad = np.flatnonzero(depths < COLD_MISS)
+        bad = np.flatnonzero(depths < COLD)
         if bad.size:
             raise SimulationError(f"invalid depth {int(depths[bad[0]])}")
         self._reserve(count)
@@ -155,7 +155,7 @@ class ResizePredictor:
         # disk access at capacity m iff it is cold or its depth >= m.
         # Mapping cold misses to +inf depth makes both cases "depth >= m",
         # so count(m) = N - searchsorted(sorted_depths, m).
-        sortable = np.where(depths == COLD_MISS, np.iinfo(np.int64).max, depths)
+        sortable = np.where(depths == COLD, np.iinfo(np.int64).max, depths)
         sortable.sort()
 
         predictions: List[CandidatePrediction] = []
@@ -168,7 +168,7 @@ class ResizePredictor:
             if idle is None:
                 # Nested disk sets: equal counts => identical disk
                 # accesses, so the interval extraction is shared.
-                is_disk = (depths == COLD_MISS) | (depths >= capacity)
+                is_disk = (depths == COLD) | (depths >= capacity)
                 idle = extract_idle_intervals(
                     times[is_disk],
                     window_s,

@@ -34,6 +34,7 @@ import hashlib
 import os
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -82,6 +83,20 @@ def kernels_enabled() -> bool:
         "false",
         "no",
     )
+
+
+@contextmanager
+def kernels_off():
+    """Set the ``$REPRO_KERNELS`` kill switch for the ``with`` body."""
+    previous = os.environ.get(KERNELS_ENV)
+    os.environ[KERNELS_ENV] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(KERNELS_ENV, None)
+        else:
+            os.environ[KERNELS_ENV] = previous
 
 
 @dataclass(frozen=True)
@@ -133,6 +148,8 @@ class TraceProfile:
         inside ``[0, m)``.
         """
         capacities = np.asarray(capacities_pages, dtype=np.int64)
+        if capacities.size and int(capacities.min()) < 0:
+            raise SimulationError("capacities must be non-negative")
         ordered = self.sorted_depths()
         warm_lo = int(np.searchsorted(ordered, 0, side="left"))
         return np.searchsorted(ordered, capacities, side="left") - warm_lo

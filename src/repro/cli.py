@@ -196,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         help=(
             "comma-separated subset (stack,intervals,predictor,joint,"
-            "energy,kernels,missrun,writes,epoch,optimal,stream,fleet)"
+            "energy,parity,optimal,fleet)"
         ),
     )
     verify.add_argument(

@@ -19,8 +19,8 @@ is that subsystem, in three layers:
 
 Verification: ``CHECKS["fleet"]`` (:mod:`repro.verify.fleet`) holds the
 sharded fan-out bit-equal to the monolithic reference, the
-migration-disabled engine bit-equal to the legacy
-:class:`~repro.multidisk.engine.MultiDiskEngine`, and the migration
+migration-disabled engine bit-equal to the static scalar oracle
+:class:`~repro.verify.fleet.MultiDiskEngine`, and the migration
 accounting to exact conservation invariants.  See ``docs/FLEET.md``.
 """
 

@@ -1,10 +1,10 @@
 """The array-level power manager: shared cache, per-disk policies, migration.
 
 One memory system (the disk cache) absorbs hits; misses route through
-the data layout to per-disk drives.  On top of the static substrate the
-legacy :class:`~repro.multidisk.engine.MultiDiskEngine` provides, the
-:class:`FleetEngine` adds the two period-boundary mechanisms the paper's
-Section VI extension needs:
+the data layout to per-disk drives.  On top of the static substrate
+(the scalar replay that :class:`~repro.verify.fleet.MultiDiskEngine`
+keeps as the parity oracle), the :class:`FleetEngine` adds the two
+period-boundary mechanisms the paper's Section VI extension needs:
 
 * **per-disk, per-period timeouts** -- every disk owns its own policy
   instance, and policies that implement ``on_period`` (e.g. the Pareto

@@ -321,13 +321,13 @@ def _reference_predict(times_list, depths_list, capacities_pages, window_s,
     ``end_period_speedup`` measures the one-pass rewrite against the
     real cost it replaced.
     """
-    from repro.cache.counters import COLD_MISS
+    from repro.cache.stack_distance import COLD
 
     times = np.asarray(times_list, dtype=np.float64)
     depths = np.asarray(depths_list, dtype=np.int64)
     predictions = []
     for capacity in capacities_pages:
-        is_disk = (depths == COLD_MISS) | (depths >= capacity)
+        is_disk = (depths == COLD) | (depths >= capacity)
         disk_times = times[is_disk]
         gaps = []
         if disk_times.size:
@@ -592,7 +592,7 @@ def _traced_peak(fn: Callable[[], Any]) -> int:
 
 def _suite_fullres(quick: bool) -> Dict[str, Any]:
     from repro.campaign.gridscan import grid_scan, naive_grid_scan
-    from repro.cache.profile import KERNELS_ENV, get_profile
+    from repro.cache.profile import get_profile, kernels_off
     from repro.sim.runner import run_chunked
     from repro.traces.specweb import generate_trace_chunked
     from repro.traces.suites import build
@@ -720,8 +720,6 @@ def _suite_fullres(quick: bool) -> Dict[str, Any]:
     # -- disable-model replay vs the scalar loop -----------------------
     # The disable fast path needs no profile (it replays from live bank
     # state); only the $REPRO_KERNELS kill switch forces it scalar.
-    import os
-
     readful = generate_trace(**kernel_kwargs)
 
     def run_disable(expected):
@@ -734,15 +732,8 @@ def _suite_fullres(quick: bool) -> Dict[str, Any]:
             )
         return result
 
-    saved = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = "0"
-    try:
+    with kernels_off():
         disable_scalar = _best_of(lambda: run_disable("scalar"), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = saved
     entries["disable_replay_scalar"] = _time_entry(
         disable_scalar, readful.num_accesses
     )

@@ -8,7 +8,7 @@ managers *online*, the shape of a real datacenter power controller:
   with no full trace in hand and returns the period decisions they
   unlocked; ``close()`` returns a :class:`~repro.sim.results.SimResult`
   bit-identical to an offline replay of the same access sequence
-  (``CHECKS["stream"]`` enforces this).
+  (the stream scenario of ``CHECKS["parity"]`` enforces this).
 * :class:`~repro.service.sessions.SessionRegistry` -- N independent
   tenant streams with per-tenant machine configs, idle eviction,
   monotonic-time validation and telemetry rollups.

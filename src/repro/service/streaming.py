@@ -10,7 +10,7 @@ engine's span kernels, and returns the period decisions that firing
 those boundaries produced.  ``close()`` finishes the run exactly the way
 :meth:`SimulationEngine.run` does and returns a ``SimResult``.
 
-Parity contract (enforced by ``CHECKS["stream"]`` and
+Parity contract (enforced by ``CHECKS["parity"]``'s stream scenario and
 ``tests/service/``): for any batch split of an access sequence,
 ``close()`` is **bit-identical** -- every energy figure, every per-period
 counter, every ``PeriodDecision`` including candidate evaluations -- to
@@ -57,12 +57,13 @@ import numpy as np
 
 from repro.cache.stack_distance import StackDistanceTracker
 from repro.config.machine import MachineConfig
-from repro.core.joint import JointPowerManager, PeriodDecision
+from repro.core.joint import PeriodDecision
 from repro.errors import SimulationError
 from repro.policies.registry import MethodSpec, parse_method
 from repro.sim import kernels
-from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimResult
+from repro.sim.runner import build_engine
+from repro.traces.trace import validate_accesses
 
 _INITIAL_BUFFER = 1024
 
@@ -70,7 +71,7 @@ _INITIAL_BUFFER = 1024
 #: when the fire rule cuts the buffer.  ``"left"`` matches the scalar
 #: loop (events drain before the access is recorded, so a tie goes to
 #: the *next* epoch).  Module-level so the injected-bug tests can flip it
-#: and prove ``CHECKS["stream"]`` catches the off-by-one.
+#: and prove ``CHECKS["parity"]`` catches the off-by-one.
 _BOUNDARY_SIDE = "left"
 
 
@@ -138,41 +139,12 @@ class StreamingManager:
         self.max_buffered = max_buffered
 
         prefill = list(prefill) if prefill else []
-        manager: Optional[JointPowerManager] = None
-        if spec.is_joint:
-            manager = JointPowerManager(
-                machine,
-                enforce_constraints=spec.enforce_constraints,
-                adapt_memory=spec.adapt_memory,
-                adapt_timeout=spec.adapt_timeout,
-            )
-            memory = spec.build_memory_system(machine)
-            memory.resize(0.0, manager.memory_bytes)
-            if prefill:
-                memory.prefill(prefill)
-                manager.prefill(prefill)
-            self._engine = SimulationEngine(
-                machine,
-                memory,
-                joint_manager=manager,
-                label=label or spec.label,
-            )
-        else:
-            policy = spec.build_disk_policy(machine)
-            memory = spec.build_memory_system(machine)
-            memory.prefill(prefill)
-            self._engine = SimulationEngine(
-                machine,
-                memory,
-                disk_policy=policy,
-                label=label or spec.label,
-            )
-        self._manager = manager
-        self._memory = memory
+        self._engine = engine = build_engine(
+            spec, machine, prefill, label=label or spec.label
+        )
 
         # The engine's replay core, exactly as engine.run starts it; the
         # stream always has depths at hand (its incremental tracker).
-        engine = self._engine
         self._st = engine._start(self.expect_writes, math.inf, warmup_s, True)
         self.replay_mode = "stream-" + self._st.mode
         engine.last_replay_mode = self.replay_mode
@@ -224,13 +196,13 @@ class StreamingManager:
     @property
     def decisions(self) -> List[PeriodDecision]:
         """Every period decision emitted so far (joint methods)."""
-        if self._manager is None:
+        if self._engine.manager is None:
             return []
-        return list(self._manager.decisions)
+        return list(self._engine.manager.decisions)
 
     @property
     def memory_bytes(self) -> int:
-        return self._memory.capacity_bytes
+        return self._engine.memory.capacity_bytes
 
     @property
     def timeout_s(self) -> Optional[float]:
@@ -247,39 +219,35 @@ class StreamingManager:
         ``times`` must be finite, non-decreasing and must not precede
         the stream's :attr:`watermark` (ties allowed); ``pages`` must be
         non-negative, as :class:`~repro.traces.trace.Trace` requires.
-        Empty batches are valid no-ops.  ``writes`` (optional bool array) requires
-        ``expect_writes=True`` when any flag is set.
+        Empty batches are valid no-ops.  ``writes`` (optional bool array)
+        requires ``expect_writes=True`` when any flag is set.  Malformed
+        batches raise ``SimulationError`` (:func:`validate_accesses`).
         """
         self._require_open()
         times = np.ascontiguousarray(times, dtype=np.float64)
         pages = np.ascontiguousarray(pages, dtype=np.int64)
-        if times.ndim != 1 or pages.ndim != 1 or times.size != pages.size:
-            raise SimulationError("times and pages must be equal-length 1-D")
+        write_flags = (
+            None if writes is None else np.ascontiguousarray(writes, dtype=bool)
+        )
+        validate_accesses(times, pages, write_flags, SimulationError)
         before = self._decision_count()
         self.batches += 1
         if times.size == 0:
             return self._new_decisions(before)
-        if not bool(np.all(np.isfinite(times))):
-            raise SimulationError("batch times must be finite")
-        if times.size > 1 and bool(np.any(np.diff(times) < 0)):
-            raise SimulationError("batch times must be non-decreasing")
-        if bool(np.any(pages < 0)):
-            raise SimulationError("page numbers must be non-negative")
         if float(times[0]) < self.watermark - 1e-12:
             raise SimulationError(
                 f"batch starts at {float(times[0]):.6f}s, before the stream "
                 f"watermark {self.watermark:.6f}s (time must be monotonic)"
             )
-        write_flags = None
-        if writes is not None:
-            write_flags = np.ascontiguousarray(writes, dtype=bool)
-            if write_flags.shape != times.shape:
-                raise SimulationError("writes must align with times")
-            if bool(write_flags.any()) and not self.expect_writes:
-                raise SimulationError(
-                    "stream was opened read-only (expect_writes=False) but "
-                    "the batch carries writes"
-                )
+        if (
+            write_flags is not None
+            and bool(write_flags.any())
+            and not self.expect_writes
+        ):
+            raise SimulationError(
+                "stream was opened read-only (expect_writes=False) but "
+                "the batch carries writes"
+            )
         self._append(times, pages, write_flags)
         self.accesses_fed += int(times.size)
         self.watermark = float(times[-1])
@@ -440,8 +408,8 @@ class StreamingManager:
                 break
             self._replay(cut)
             engine._drain_events(st, boundary)
-            st.resident = min(st.resident, self._memory.capacity_pages)
-        if self._manager is None:
+            st.resident = min(st.resident, engine.memory.capacity_pages)
+        if engine.manager is None:
             # Manager-less modes can also drain mid-period: with no
             # epoch decisions pending, replaying any prefix strictly
             # below the watermark is bit-exact even when it splits a hit
@@ -504,12 +472,13 @@ class StreamingManager:
     # --- helpers ----------------------------------------------------------
 
     def _decision_count(self) -> int:
-        return len(self._manager.decisions) if self._manager is not None else 0
+        manager = self._engine.manager
+        return 0 if manager is None else len(manager.decisions)
 
     def _new_decisions(self, before: int) -> List[PeriodDecision]:
-        if self._manager is None:
+        if self._engine.manager is None:
             return []
-        return list(self._manager.decisions[before:])
+        return list(self._engine.manager.decisions[before:])
 
     def _require_open(self) -> None:
         if self._closed:

@@ -11,9 +11,9 @@ capacity and the disk timeout are fixed inside it -- and each kernel
 replays its span with numpy classification and batched accounting.
 Misses, boundaries, policy callbacks and disk accounting run the exact
 scalar operations in the exact order, so a fast replay is bit-identical
-to the scalar loop -- the differential ``kernels``/``missrun``/
-``writes``/``epoch``/``stream`` checks and ``tests/sim/test_kernels.py``
-assert as much.
+to the scalar loop -- the differential ``parity`` check (one scenario
+per mode, plus the stream) and ``tests/sim/test_kernels.py`` assert as
+much.
 
 Five fast modes exist (:func:`select_mode`):
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from repro.config.machine import MachineConfig
 from repro.core.joint import JointPowerManager
 from repro.errors import SimulationError
 from repro.memory.system import supports_profiled_replay
+from repro.policies.base import DiskPolicy
 from repro.policies.registry import MethodSpec, parse_method
 from repro.sim.engine import SimulationEngine
 from repro.sim.prefill import warm_start_pages
@@ -52,7 +53,40 @@ def run_method(
     """
     spec = parse_method(method) if isinstance(method, str) else method
     prefill = warm_start_pages(trace) if warm_start else []
+    engine = build_engine(spec, machine, prefill)
+    run_profile = _resolve_profile(
+        profile, trace, warm_start, engine.memory, joint=spec.is_joint
+    )
+    if spec.disk == "OR":
+        engine.idle_hints = _collect_miss_times(
+            spec, trace, machine, duration_s, prefill, run_profile
+        )
+    return _finish(
+        engine.run(trace, duration_s, warmup_s=warmup_s, profile=run_profile),
+        machine,
+        audit,
+        trace=trace,
+        warm_start=warm_start,
+        regret=regret,
+    )
 
+
+def build_engine(
+    spec: MethodSpec,
+    machine: MachineConfig,
+    prefill: Sequence[int] = (),
+    disk_policy: Optional[DiskPolicy] = None,
+    label: Optional[str] = None,
+) -> SimulationEngine:
+    """The engine that replays ``spec``, its caches warmed by ``prefill``.
+
+    A joint spec gets its :class:`JointPowerManager` and a memory resized
+    to the manager's initial size; any other spec gets its disk policy
+    (or ``disk_policy``, when given) and its fixed memory.  ``prefill``
+    (coldest first) seeds the memory, and a joint manager's tracker too.
+    The engine is labelled ``label`` or the spec's label.
+    """
+    label = spec.label if label is None else label
     if spec.is_joint:
         manager = JointPowerManager(
             machine,
@@ -68,48 +102,14 @@ def run_method(
             # resident tail become ghost entries, exactly as a long-running
             # extended LRU list would hold them.
             manager.prefill(prefill)
-        run_profile = _resolve_profile(
-            profile, trace, warm_start, memory, joint=True
+        return SimulationEngine(
+            machine, memory, joint_manager=manager, label=label
         )
-        engine = SimulationEngine(
-            machine,
-            memory,
-            joint_manager=manager,
-            label=spec.label,
-        )
-        return _finish(
-            engine.run(trace, duration_s, warmup_s=warmup_s, profile=run_profile),
-            machine,
-            audit,
-            trace=trace,
-            warm_start=warm_start,
-            regret=regret,
-        )
-
-    policy = spec.build_disk_policy(machine)
+    if disk_policy is None:
+        disk_policy = spec.build_disk_policy(machine)
     memory = spec.build_memory_system(machine)
     memory.prefill(prefill)
-    run_profile = _resolve_profile(profile, trace, warm_start, memory)
-    hints = None
-    if spec.disk == "OR":
-        hints = _collect_miss_times(
-            spec, trace, machine, duration_s, prefill, run_profile
-        )
-    engine = SimulationEngine(
-        machine,
-        memory,
-        disk_policy=policy,
-        idle_hints=hints,
-        label=spec.label,
-    )
-    return _finish(
-        engine.run(trace, duration_s, warmup_s=warmup_s, profile=run_profile),
-        machine,
-        audit,
-        trace=trace,
-        warm_start=warm_start,
-        regret=regret,
-    )
+    return SimulationEngine(machine, memory, disk_policy=disk_policy, label=label)
 
 
 def run_chunked(
@@ -219,11 +219,10 @@ def _collect_miss_times(
     """
     from repro.policies.always_on import AlwaysOnPolicy
 
-    memory = spec.build_memory_system(machine)
-    memory.prefill(prefill)
-    engine = SimulationEngine(
+    engine = build_engine(
+        spec,
         machine,
-        memory,
+        prefill,
         disk_policy=AlwaysOnPolicy(),
         label=f"{spec.label}-pass1",
     )

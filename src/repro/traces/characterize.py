@@ -14,8 +14,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.cache.counters import DepthCounters
-from repro.cache.stack_distance import StackDistanceTracker
+from repro.cache.profile import build_profile
+from repro.cache.stack_distance import COLD
 from repro.errors import TraceError
 from repro.traces.trace import Trace
 from repro.units import GB, MB
@@ -76,17 +76,17 @@ def characterize(
     if cache_sizes_bytes is None:
         cache_sizes_bytes = [1 * GB, 4 * GB, 16 * GB, 64 * GB]
 
-    counters = DepthCounters()
-    counters.record_many(StackDistanceTracker().access_array(trace.pages))
+    profile = build_profile(trace, warm_start=False)
 
     sizes_pages = [max(size // trace.page_size, 1) for size in cache_sizes_bytes]
-    misses = counters.misses_at_sizes(sizes_pages)
+    misses = profile.miss_counts(sizes_pages).tolist()
     miss_ratio_at = {
         size: count / trace.num_accesses
         for size, count in zip(cache_sizes_bytes, misses)
     }
 
-    reuse_fraction = 1.0 - counters.cold_misses / trace.num_accesses
+    cold = int(np.count_nonzero(profile.depths == COLD))
+    reuse_fraction = 1.0 - cold / trace.num_accesses
 
     duration = max(trace.duration_s, 1e-9)
     edges = np.linspace(0.0, duration, rate_windows + 1)

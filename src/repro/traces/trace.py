@@ -8,13 +8,41 @@ management.  Stored as parallel numpy arrays for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Type
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.traces.zipf import MASS_FRACTION
 from repro.units import PAGE_SIZE
+
+
+def validate_accesses(
+    times: np.ndarray,
+    pages: np.ndarray,
+    writes: Optional[np.ndarray],
+    error: Type[Exception],
+) -> None:
+    """Raise ``error`` unless the arrays form a well-formed access batch.
+
+    ``times`` (float64) and ``pages`` (int64) must be 1-D and of equal
+    length, the times finite, non-negative and non-decreasing, the pages
+    non-negative, and ``writes`` (None, or a bool array) aligned with
+    them.  Every entry point checks its input here: :class:`Trace` with
+    ``TraceError``, the streaming ``feed`` with ``SimulationError``.
+    """
+    if times.ndim != 1 or times.shape != pages.shape:
+        raise error("times and pages must be 1-D arrays of equal length")
+    if not bool(np.all(np.isfinite(times))):
+        raise error("access times must be finite")
+    if times.size > 1 and bool(np.any(np.diff(times) < 0)):
+        raise error("access times must be non-decreasing")
+    if times.size and times[0] < 0.0:
+        raise error("access times must be non-negative")
+    if bool(np.any(pages < 0)):
+        raise error("page numbers must be non-negative")
+    if writes is not None and writes.shape != times.shape:
+        raise error("writes must align with times")
 
 
 @dataclass(frozen=True)
@@ -39,30 +67,18 @@ class Trace:
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
         pages = np.asarray(self.pages, dtype=np.int64)
-        if times.shape != pages.shape or times.ndim != 1:
-            raise TraceError("times and pages must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(times)):
-            raise TraceError("trace timestamps must be finite")
-        if times.size and np.any(np.diff(times) < 0.0):
-            raise TraceError("trace timestamps must be non-decreasing")
-        if times.size and times[0] < 0.0:
-            raise TraceError("trace timestamps must be non-negative")
-        if np.any(pages < 0):
-            raise TraceError("page numbers must be non-negative")
+        writes = None if self.writes is None else np.asarray(self.writes, dtype=bool)
+        validate_accesses(times, pages, writes, TraceError)
         if self.page_size <= 0:
             raise TraceError("page size must be positive")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "pages", pages)
+        object.__setattr__(self, "writes", writes)
         if self.files is not None:
             files = np.asarray(self.files, dtype=np.int64)
             if files.shape != times.shape:
                 raise TraceError("files array must align with times")
             object.__setattr__(self, "files", files)
-        if self.writes is not None:
-            writes = np.asarray(self.writes, dtype=bool)
-            if writes.shape != times.shape:
-                raise TraceError("writes array must align with times")
-            object.__setattr__(self, "writes", writes)
 
     # --- basic shape ----------------------------------------------------------
 

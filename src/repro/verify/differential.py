@@ -1,6 +1,6 @@
 """Differential runner: fast paths vs brute-force oracles over fuzzed seeds.
 
-Twelve checks, each pairing a production fast path with its oracle from
+Eight checks, each pairing a production fast path with its oracle from
 :mod:`repro.verify.oracles` (or, for ``optimal``/``fleet``, from
 :mod:`repro.verify.optimal` / :mod:`repro.verify.fleet`):
 
@@ -14,23 +14,17 @@ joint      ``core.joint.JointPowerManager`` period decision       per-size LRU +
                                                                   eq. (2)-(6) + (m, t_o)
                                                                   grid search
 energy     ``sim.engine`` / ``disk.drive`` incremental accounting event-log integration
-kernels    ``sim.kernels`` vectorized replay                      the scalar engine loop
-missrun    ``sim.kernels`` miss-run replay (batched               the scalar engine loop
-           ``SimDisk.submit_run`` recurrence, vectorized          (per-miss
-           sequential-merge flags, batched clusterer/metrics)     ``_serve_miss``)
-writes     ``sim.kernels`` write-carrying vectorized replay       the scalar engine loop
-           (dirty marks batched, flush sweeps interleaved)        (write-back path)
-epoch      ``sim.kernels`` epoch-segmented joint replay +         the scalar engine loop
-           the disable-model (2TDS) pure-hit-prefix replay        driving the live
-                                                                  joint manager / the
-                                                                  live bank map
+parity     every fast replay mode of ``sim.kernels``, one         the scalar engine loop
+           scenario each -- ``vectorized``, ``missrun``           forced by the
+           (batched ``SimDisk.submit_run``), ``writes`` (flush    ``$REPRO_KERNELS``
+           sweeps inside hit runs), ``epoch`` (live joint         kill switch (for the
+           manager), ``disable`` (2TDS bank map) -- plus          stream: the offline
+           ``service.streaming.StreamingManager`` fed ragged      ``run_method`` replay
+           batches with idle advances                             of the same sequence)
 optimal    ``verify.optimal`` lazy-heap Belady + clairvoyant      linear-scan Belady,
            disk schedule                                          competitive closed
                                                                   form, one-sided
                                                                   OPT <= online bounds
-stream     ``service.streaming.StreamingManager`` incremental     the offline
-           feeds (ragged batch splits, idle advances)             ``run_method`` replay
-                                                                  of the same sequence
 fleet      ``fleet.sharding`` campaign fan-out (kernels + JSON    the monolithic
            round trip) and the ``fleet.engine`` array manager     forced-scalar merge,
            with migration accounting                              ``MultiDiskEngine``,
@@ -54,13 +48,24 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.predictor import ResizePredictor
-from repro.cache.profile import build_profile
+from repro.cache.profile import build_profile, kernels_off
 from repro.cache.stack_distance import StackDistanceTracker
+from repro.core.enumeration import candidate_sizes
 from repro.core.joint import JointPowerManager
 from repro.errors import SimulationError
-from repro.memory.system import NapMemorySystem
+from repro.memory.system import (
+    DisableMemorySystem,
+    NapMemorySystem,
+    PowerDownMemorySystem,
+)
+from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
+from repro.service.streaming import StreamingManager
+from repro.sim import kernels
 from repro.sim.engine import SimulationEngine
+from repro.sim.prefill import warm_start_pages
+from repro.sim.results import SimResult
+from repro.sim.runner import run_method
 from repro.stats.intervals import extract_idle_intervals
 from repro.stats.timeout_math import expected_power, optimal_timeout
 from repro.traces.trace import Trace
@@ -434,17 +439,24 @@ def check_joint(case: VerifyCase) -> Optional[str]:
     return None
 
 
+def _draw_bank_capacity(rng, spec, least: int = 1) -> int:
+    banks = spec.installed_bytes // spec.bank_bytes
+    return spec.bank_bytes * int(rng.integers(least, banks + 1))
+
+
+def _draw_disk_timeout(rng, machine) -> float:
+    return float(
+        rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
+    )
+
+
 def check_energy(case: VerifyCase) -> Optional[str]:
     """Incremental drive accounting vs event-by-event integration."""
     machine = random_small_machine(case.seed)
     rng = np.random.default_rng(case.seed ^ 0xD15C)
-    spec = machine.memory
-    banks = spec.installed_bytes // spec.bank_bytes
-    capacity = spec.bank_bytes * int(rng.integers(1, banks + 1))
-    timeout = float(
-        rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
-    )
-    memory = NapMemorySystem(spec, capacity)
+    capacity = _draw_bank_capacity(rng, machine.memory)
+    timeout = _draw_disk_timeout(rng, machine)
+    memory = NapMemorySystem(machine.memory, capacity)
     engine = SimulationEngine(
         machine,
         memory,
@@ -481,246 +493,6 @@ def check_energy(case: VerifyCase) -> Optional[str]:
     slow_j = integrated.total_joules(machine.disk)
     if not math.isclose(fast_j, slow_j, rel_tol=1e-9, abs_tol=1e-6):
         return f"total energy: {fast_j} J != {slow_j} J"
-    return None
-
-
-class _RequestAwareTimeout(FixedTimeoutPolicy):
-    """A fixed timeout that *looks* request-aware.
-
-    Overriding ``on_request`` (behaviourally a no-op) opts the policy
-    out of the miss-run upgrade, so ``check_kernels`` keeps pinning the
-    plain ``"vectorized"`` mode -- every miss through the scalar
-    ``_serve_miss`` -- while ``check_missrun`` owns the batched path.
-    """
-
-    def on_request(self, now, latency_s, wake_delay_s, idle_before_s):
-        return super().on_request(now, latency_s, wake_delay_s, idle_before_s)
-
-
-def check_kernels(case: VerifyCase) -> Optional[str]:
-    """Vectorized replay kernels vs the scalar engine loop, bit for bit.
-
-    Both replays run the same fuzzed trace through fresh engines; the
-    fast one gets a :class:`TraceProfile`, the reference one does not.
-    Every ``SimResult`` field -- energies, latencies, per-period series --
-    must compare exactly equal (no tolerance: the kernels promise the
-    identical floating-point operations, not merely close ones).  The
-    policy advertises a request-aware hook so the run stays on the
-    per-miss ``"vectorized"`` mode; the batched-miss upgrade has its own
-    ``missrun`` check.
-
-    Rotates the nap and power-down memory models -- power-down with its
-    spec timeout, none, an instant one or a quarter second -- and a
-    warm-up of zero or a whole number of periods, whose checkpoint
-    leaves every bank's accounting mark past its last access.  Half the
-    seeds snap the times to a quarter-second grid, so same-bank accesses
-    tie and land exactly on a power-down boundary.
-    """
-    from repro.memory.system import PowerDownMemorySystem
-    from repro.sim.prefill import warm_start_pages
-
-    machine = random_small_machine(case.seed)
-    rng = np.random.default_rng(case.seed ^ 0x5E67)
-    spec = machine.memory
-    banks = spec.installed_bytes // spec.bank_bytes
-    capacity = spec.bank_bytes * int(rng.integers(1, banks + 1))
-    timeout = float(
-        rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
-    )
-    warm = bool(rng.integers(0, 2))
-    model = ("nap", "pd")[int(rng.integers(0, 2))]
-    pd_timeout = (None, 0.0, 0.25, math.inf)[int(rng.integers(0, 4))]
-    times = case.times
-    if rng.integers(0, 2):
-        times = np.floor(times * 4.0) / 4.0
-    trace = Trace(times=times, pages=case.pages, page_size=machine.page_bytes)
-    period = machine.manager.period_s
-    periods = max(int(np.ceil(trace.duration_s / period)), 1)
-    warmup = period * int(rng.integers(0, periods))
-    prefill = warm_start_pages(trace) if warm else []
-
-    def replay(profile):
-        if model == "nap":
-            memory = NapMemorySystem(spec, capacity)
-        else:
-            memory = PowerDownMemorySystem(spec, capacity, pd_timeout)
-        if prefill:
-            memory.prefill(prefill)
-        engine = SimulationEngine(
-            machine,
-            memory,
-            disk_policy=_RequestAwareTimeout(timeout),
-            label="verify-kernels",
-        )
-        return engine.run(trace, warmup_s=warmup, profile=profile)
-
-    fast = replay(build_profile(trace, warm_start=warm))
-    slow = replay(None)
-    if fast.replay_mode != "vectorized":
-        return f"fast path refused an eligible run (mode {fast.replay_mode})"
-    if slow.replay_mode != "scalar":
-        return "reference run did not use the scalar loop"
-    for f in dataclasses.fields(fast):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(getattr(fast, f.name), getattr(slow, f.name), f.name)
-        if diff is not None:
-            return (
-                f"{diff} (model {model}, power-down timeout {pd_timeout}, "
-                f"timeout {timeout}, capacity {capacity} B, warm={warm}, "
-                f"warm-up {warmup}s)"
-            )
-    return None
-
-
-def check_missrun(case: VerifyCase) -> Optional[str]:
-    """Batched miss-run replay vs the scalar engine loop, bit for bit.
-
-    Rotates the nap and power-down memory models, random capacities
-    (including zero -- an all-miss trace is one long boundary-split miss
-    run), the 2T and always-on policies, disk timeouts from never to
-    instant, and warm starts.  Half the seeds record the disk event log
-    on both legs and compare it event for event, so the batched
-    ``submit_run`` must also interleave its buffered submit records with
-    spin-downs in exactly the scalar order.
-    """
-    from repro.memory.system import PowerDownMemorySystem
-    from repro.policies.always_on import AlwaysOnPolicy
-    from repro.sim.prefill import warm_start_pages
-
-    if case.times.size == 0:
-        return None
-    machine = random_small_machine(case.seed)
-    rng = np.random.default_rng(case.seed ^ 0x3155)
-    spec = machine.memory
-    banks = spec.installed_bytes // spec.bank_bytes
-    capacity = spec.bank_bytes * int(rng.integers(0, banks + 1))
-    timeout = float(
-        rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
-    )
-    model = ("nap", "pd")[int(rng.integers(0, 2))]
-    always_on = bool(rng.integers(0, 2))
-    warm = bool(rng.integers(0, 2))
-    record = bool(rng.integers(0, 2))
-    trace = Trace(
-        times=case.times, pages=case.pages, page_size=machine.page_bytes
-    )
-    prefill = warm_start_pages(trace) if warm else []
-    context = (
-        f"(model {model}, policy {'ON' if always_on else '2T'}, timeout "
-        f"{timeout}, capacity {capacity} B, warm={warm}, events={record})"
-    )
-
-    def replay(profile):
-        if model == "nap":
-            memory = NapMemorySystem(spec, capacity)
-        else:
-            memory = PowerDownMemorySystem(spec, capacity)
-        if prefill:
-            memory.prefill(prefill)
-        policy = AlwaysOnPolicy() if always_on else FixedTimeoutPolicy(timeout)
-        engine = SimulationEngine(
-            machine,
-            memory,
-            disk_policy=policy,
-            label="verify-missrun",
-            record_events=record,
-        )
-        return engine.run(trace, profile=profile), engine
-
-    fast, fast_engine = replay(build_profile(trace, warm_start=warm))
-    slow, slow_engine = replay(None)
-    if fast.replay_mode != "missrun":
-        return (
-            f"fast path refused an eligible miss-run replay "
-            f"(mode {fast.replay_mode}) {context}"
-        )
-    if slow.replay_mode != "scalar":
-        return "reference run did not use the scalar loop"
-    for f in dataclasses.fields(fast):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(getattr(fast, f.name), getattr(slow, f.name), f.name)
-        if diff is not None:
-            return f"{diff} {context}"
-    if record:
-        diff = deep_diff(
-            fast_engine.disk.events.events,
-            slow_engine.disk.events.events,
-            "disk_events",
-        )
-        if diff is not None:
-            return f"{diff} {context}"
-    return None
-
-
-def check_writes(case: VerifyCase) -> Optional[str]:
-    """Write-carrying vectorized replay vs the scalar engine loop, bit for bit.
-
-    Rotates the nap and power-down memory models, random capacities,
-    disk timeouts and warm starts, with fuzzed per-access write flags
-    and a flush cadence short enough that periodic write-back sweeps
-    land *inside* hit runs; the fast replay must reproduce every flush,
-    dirty eviction and energy figure exactly.
-    """
-    from repro.memory.system import PowerDownMemorySystem
-    from repro.sim.prefill import warm_start_pages
-
-    if case.times.size == 0:
-        return None
-    machine = random_small_machine(case.seed)
-    rng = np.random.default_rng(case.seed ^ 0x3317E5)
-    spec = machine.memory
-    banks = spec.installed_bytes // spec.bank_bytes
-    capacity = spec.bank_bytes * int(rng.integers(1, banks + 1))
-    timeout = float(
-        rng.choice([0.0, 1.0, machine.disk.break_even_time_s, 30.0, math.inf])
-    )
-    model = ("nap", "pd")[int(rng.integers(0, 2))]
-    warm = bool(rng.integers(0, 2))
-    flush_interval = float(rng.choice([0.05, 1.0, 30.0]))
-    writes = rng.random(case.times.size) < 0.4
-    if not bool(writes.any()):
-        writes[int(rng.integers(0, writes.size))] = True
-    trace = Trace(
-        times=case.times,
-        pages=case.pages,
-        page_size=machine.page_bytes,
-        writes=writes,
-    )
-    prefill = warm_start_pages(trace) if warm else []
-
-    def replay(profile):
-        if model == "nap":
-            memory = NapMemorySystem(spec, capacity)
-        else:
-            memory = PowerDownMemorySystem(spec, capacity)
-        if prefill:
-            memory.prefill(prefill)
-        engine = SimulationEngine(
-            machine,
-            memory,
-            disk_policy=FixedTimeoutPolicy(timeout),
-            label="verify-writes",
-            flush_interval_s=flush_interval,
-        )
-        return engine.run(trace, profile=profile)
-
-    fast = replay(build_profile(trace, warm_start=warm))
-    slow = replay(None)
-    if fast.replay_mode != "writes":
-        return f"fast path refused an eligible write run (mode {fast.replay_mode})"
-    if slow.replay_mode != "scalar":
-        return "reference run did not use the scalar loop"
-    for f in dataclasses.fields(fast):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(getattr(fast, f.name), getattr(slow, f.name), f.name)
-        if diff is not None:
-            return (
-                f"{diff} (model {model}, timeout {timeout}, capacity "
-                f"{capacity} B, warm={warm}, flush every {flush_interval}s)"
-            )
     return None
 
 
@@ -774,9 +546,196 @@ def deep_diff(a, b, path: str = "result") -> Optional[str]:
     return None if a == b else f"{path}: {a!r} != {b!r}"
 
 
-#: The joint ablation flag combinations check_epoch rotates through:
-#: (enforce_constraints, adapt_memory, adapt_timeout) -- JOINT, JOINT-NC,
-#: JOINT-TO, JOINT-MEM.
+# --- the parity check -----------------------------------------------------------
+
+
+class _RequestAwareTimeout(FixedTimeoutPolicy):
+    """A fixed timeout that *looks* request-aware.
+
+    Overriding ``on_request`` (behaviourally a no-op) opts the policy
+    out of the miss-run upgrade, so the ``vectorized`` scenario keeps
+    pinning the plain ``"vectorized"`` mode -- every miss through the
+    scalar ``_serve_miss`` -- while the ``missrun`` scenario owns the
+    batched path.
+    """
+
+    def on_request(self, now, latency_s, wake_delay_s, idle_before_s):
+        return super().on_request(now, latency_s, wake_delay_s, idle_before_s)
+
+
+#: One leg of a scenario: replays it and returns the result plus the
+#: disk event log (None unless the scenario records one).
+_Replay = Callable[[], Tuple[SimResult, Optional[list]]]
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One parity scenario, as drawn from a case."""
+
+    #: The ``replay_mode`` the fast leg must report.
+    mode: str
+    #: The scenario's draws, appended to a divergence report.
+    context: str
+    #: Run with the fast paths enabled.
+    fast: _Replay
+    #: Run under the ``$REPRO_KERNELS`` kill switch: the scalar loop.
+    reference: _Replay
+
+
+def _offline(mode, context, build, trace, warm, warmup_s=0.0) -> _Scenario:
+    """An offline scenario: both legs replay ``trace`` with its profile
+    through a fresh ``build(prefill)`` engine, warm-started or cold."""
+    prefill = warm_start_pages(trace) if warm else []
+    profile = build_profile(trace, warm_start=warm)
+
+    def replay():
+        engine = build(prefill)
+        result = engine.run(trace, warmup_s=warmup_s, profile=profile)
+        events = engine.disk.events
+        return result, None if events is None else events.events
+
+    return _Scenario(mode, context, replay, replay)
+
+
+def _fixed_memory(spec, model: str, capacity: int, prefill, pd_timeout=None):
+    """A prefilled fixed-capacity nap or power-down memory."""
+    if model == "nap":
+        memory = NapMemorySystem(spec, capacity)
+    else:
+        memory = PowerDownMemorySystem(spec, capacity, pd_timeout)
+    if prefill:
+        memory.prefill(prefill)
+    return memory
+
+
+def _stretched(times: np.ndarray, period: float) -> np.ndarray:
+    """``times`` stretched across ~3.25 periods: interior boundaries, an
+    access-free trailing period, and at least two live resizes."""
+    span = max(float(times[-1]), 1e-3)
+    return times * (3.25 * period / span)
+
+
+def _stretched_trace(case: VerifyCase, machine) -> Trace:
+    return Trace(
+        times=_stretched(case.times, machine.manager.period_s),
+        pages=case.pages,
+        page_size=machine.page_bytes,
+    )
+
+
+def _vectorized_scenario(case, machine, rng) -> _Scenario:
+    """Fixed capacity, per-miss policy hooks: nap or power-down memory
+    (spec, zero, quarter-second or infinite power-down timeout), warm-ups
+    of whole periods, and half the seeds snapped to a 0.25-s grid so
+    same-bank accesses tie exactly on a power-down boundary."""
+    spec = machine.memory
+    capacity = _draw_bank_capacity(rng, spec)
+    timeout = _draw_disk_timeout(rng, machine)
+    warm = bool(rng.integers(0, 2))
+    model = ("nap", "pd")[int(rng.integers(0, 2))]
+    pd_timeout = (None, 0.0, 0.25, math.inf)[int(rng.integers(0, 4))]
+    times = case.times
+    if rng.integers(0, 2):
+        times = np.floor(times * 4.0) / 4.0
+    trace = Trace(times=times, pages=case.pages, page_size=machine.page_bytes)
+    period = machine.manager.period_s
+    periods = max(int(np.ceil(trace.duration_s / period)), 1)
+    warmup = period * int(rng.integers(0, periods))
+
+    def build(prefill):
+        return SimulationEngine(
+            machine,
+            _fixed_memory(spec, model, capacity, prefill, pd_timeout),
+            disk_policy=_RequestAwareTimeout(timeout),
+            label="verify-parity",
+        )
+
+    return _offline(
+        kernels.MODE_VECTORIZED,
+        f"(model {model}, power-down timeout {pd_timeout}, timeout "
+        f"{timeout}, capacity {capacity} B, warm={warm}, warm-up {warmup}s)",
+        build,
+        trace,
+        warm,
+        warmup,
+    )
+
+
+def _missrun_scenario(case, machine, rng) -> _Scenario:
+    """Batched miss runs: capacities down to zero, the 2T and always-on
+    policies, and the disk event log recorded on half the seeds."""
+    spec = machine.memory
+    capacity = _draw_bank_capacity(rng, spec, least=0)
+    timeout = _draw_disk_timeout(rng, machine)
+    model = ("nap", "pd")[int(rng.integers(0, 2))]
+    always_on = bool(rng.integers(0, 2))
+    warm = bool(rng.integers(0, 2))
+    record = bool(rng.integers(0, 2))
+    trace = Trace(
+        times=case.times, pages=case.pages, page_size=machine.page_bytes
+    )
+
+    def build(prefill):
+        policy = AlwaysOnPolicy() if always_on else FixedTimeoutPolicy(timeout)
+        return SimulationEngine(
+            machine,
+            _fixed_memory(spec, model, capacity, prefill),
+            disk_policy=policy,
+            label="verify-parity",
+            record_events=record,
+        )
+
+    return _offline(
+        kernels.MODE_MISSRUN,
+        f"(model {model}, policy {'ON' if always_on else '2T'}, timeout "
+        f"{timeout}, capacity {capacity} B, warm={warm}, events={record})",
+        build,
+        trace,
+        warm,
+    )
+
+
+def _writes_scenario(case, machine, rng) -> _Scenario:
+    """Write-carrying runs: fuzzed write flags and a flush cadence short
+    enough that write-back sweeps land inside hit runs."""
+    spec = machine.memory
+    capacity = _draw_bank_capacity(rng, spec)
+    timeout = _draw_disk_timeout(rng, machine)
+    model = ("nap", "pd")[int(rng.integers(0, 2))]
+    warm = bool(rng.integers(0, 2))
+    flush_interval = float(rng.choice([0.05, 1.0, 30.0]))
+    writes = rng.random(case.times.size) < 0.4
+    if not bool(writes.any()):
+        writes[int(rng.integers(0, writes.size))] = True
+    trace = Trace(
+        times=case.times,
+        pages=case.pages,
+        page_size=machine.page_bytes,
+        writes=writes,
+    )
+
+    def build(prefill):
+        return SimulationEngine(
+            machine,
+            _fixed_memory(spec, model, capacity, prefill),
+            disk_policy=FixedTimeoutPolicy(timeout),
+            label="verify-parity",
+            flush_interval_s=flush_interval,
+        )
+
+    return _offline(
+        kernels.MODE_WRITES,
+        f"(model {model}, timeout {timeout}, capacity {capacity} B, "
+        f"warm={warm}, flush every {flush_interval}s)",
+        build,
+        trace,
+        warm,
+    )
+
+
+#: The joint ablation flag combinations the epoch scenario rotates
+#: through: (enforce_constraints, adapt_memory, adapt_timeout) -- JOINT,
+#: JOINT-NC, JOINT-TO, JOINT-MEM.
 _EPOCH_VARIANTS = (
     (True, True, True),
     (False, True, True),
@@ -785,47 +744,17 @@ _EPOCH_VARIANTS = (
 )
 
 
-def check_epoch(case: VerifyCase) -> Optional[str]:
-    """Epoch-segmented joint replay vs the scalar engine loop, bit for bit.
-
-    The fuzzed access stream is stretched to span several manager periods
-    so the epoch kernel crosses live boundaries (resizes, timeout
-    updates, empty epochs); both replays then run through fresh engines
-    and managers, and every ``SimResult`` field *and* every
-    ``PeriodDecision`` -- including each candidate evaluation's
-    prediction and fit -- must compare exactly equal.
-
-    A second leg runs the same stretched stream through the
-    disable-state (2TDS) memory model: its profile-free pure-hit-prefix
-    replay (``replay_mode == "disable"``) must match a scalar run forced
-    via the ``REPRO_KERNELS`` kill switch across bank invalidations,
-    lazy disables and resurrection misses.
-    """
-    import os
-
-    from repro.cache.profile import KERNELS_ENV
-    from repro.core.enumeration import candidate_sizes
-    from repro.memory.system import DisableMemorySystem
-    from repro.sim.prefill import warm_start_pages
-
-    if case.times.size == 0:
-        return None
-    machine = random_small_machine(case.seed)
-    rng = np.random.default_rng(case.seed ^ 0xE90C)
-    period = machine.manager.period_s
-    # Stretch the stream across ~3.25 periods: interior boundaries, an
-    # access-free trailing period, and at least two live resizes.
-    span = max(float(case.times[-1]), 1e-3)
-    times = case.times * (3.25 * period / span)
-    trace = Trace(times=times, pages=case.pages, page_size=machine.page_bytes)
-
+def _epoch_scenario(case, machine, rng) -> _Scenario:
+    """Joint runs over the stretched stream (live resizes, timeout
+    updates, empty epochs) from a random initial size; every
+    ``PeriodDecision`` and candidate evaluation is part of the diff."""
+    trace = _stretched_trace(case, machine)
     flags = _EPOCH_VARIANTS[int(rng.integers(0, len(_EPOCH_VARIANTS)))]
     sizes = candidate_sizes(machine)
     initial = int(sizes[int(rng.integers(0, len(sizes)))])
     warm = bool(rng.integers(0, 2))
-    prefill = warm_start_pages(trace) if warm else []
 
-    def replay(profile):
+    def build(prefill):
         enforce, adapt_memory, adapt_timeout = flags
         manager = JointPowerManager(
             machine,
@@ -838,130 +767,91 @@ def check_epoch(case: VerifyCase) -> Optional[str]:
         if prefill:
             memory.prefill(prefill)
             manager.prefill(prefill)
-        engine = SimulationEngine(
-            machine, memory, joint_manager=manager, label="verify-epoch"
+        return SimulationEngine(
+            machine, memory, joint_manager=manager, label="verify-parity"
         )
-        return engine.run(trace, profile=profile)
 
-    fast = replay(build_profile(trace, warm_start=warm))
-    slow = replay(None)
-    if fast.replay_mode != "epoch":
-        return f"fast path refused an eligible joint run (mode {fast.replay_mode})"
-    if slow.replay_mode != "scalar":
-        return "reference run did not use the scalar loop"
-    for f in dataclasses.fields(fast):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(getattr(fast, f.name), getattr(slow, f.name), f.name)
-        if diff is not None:
-            return (
-                f"{diff} (flags {flags}, initial {initial} B, warm={warm}, "
-                f"period {period}s)"
-            )
+    return _offline(
+        kernels.MODE_EPOCH,
+        f"(flags {flags}, initial {initial} B, warm={warm}, period "
+        f"{machine.manager.period_s}s)",
+        build,
+        trace,
+        warm,
+    )
 
-    # --- disable-model (2TDS) leg ---------------------------------------
+
+def _disable_scenario(case, machine, rng) -> _Scenario:
+    """The 2TDS model over the stretched stream (its fast mode ignores
+    the profile): bank timeouts short against its gaps exercise lazy
+    disables, invalidation misses and bank resurrections."""
+    trace = _stretched_trace(case, machine)
     spec = machine.memory
-    banks = spec.installed_bytes // spec.bank_bytes
-    ds_capacity = spec.bank_bytes * int(rng.integers(1, banks + 1))
-    # Short timeouts relative to the stretched gaps exercise lazy
-    # disables, invalidation misses and bank resurrections.
-    ds_timeout = float(
-        rng.choice([0.5, 30.0, 0.25 * period, machine.disk.break_even_time_s])
+    capacity = _draw_bank_capacity(rng, spec)
+    bank_timeout = float(
+        rng.choice(
+            [0.5, 30.0, 0.25 * machine.manager.period_s,
+             machine.disk.break_even_time_s]
+        )
     )
     disk_timeout = float(rng.choice([0.0, 1.0, 30.0, math.inf]))
+    warm = bool(rng.integers(0, 2))
 
-    def replay_ds():
-        memory = DisableMemorySystem(spec, ds_capacity, timeout_s=ds_timeout)
+    def build(prefill):
+        memory = DisableMemorySystem(spec, capacity, timeout_s=bank_timeout)
         if prefill:
             memory.prefill(prefill)
-        engine = SimulationEngine(
+        return SimulationEngine(
             machine,
             memory,
             disk_policy=FixedTimeoutPolicy(disk_timeout),
-            label="verify-epoch-ds",
+            label="verify-parity",
         )
-        return engine.run(trace)
 
-    fast_ds = replay_ds()
-    previous = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = "0"
-    try:
-        slow_ds = replay_ds()
-    finally:
-        if previous is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = previous
-    if fast_ds.replay_mode != "disable":
-        return (
-            f"fast path refused an eligible 2TDS run (mode {fast_ds.replay_mode})"
-        )
-    if slow_ds.replay_mode != "scalar":
-        return "2TDS reference run did not use the scalar loop"
-    for f in dataclasses.fields(fast_ds):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(
-            getattr(fast_ds, f.name), getattr(slow_ds, f.name), f.name
-        )
-        if diff is not None:
-            return (
-                f"{diff} (2TDS leg: bank timeout {ds_timeout}s, capacity "
-                f"{ds_capacity} B, disk timeout {disk_timeout}, warm={warm})"
-            )
-    return None
+    return _offline(
+        kernels.MODE_DISABLE,
+        f"(bank timeout {bank_timeout}s, capacity {capacity} B, disk "
+        f"timeout {disk_timeout}, warm={warm})",
+        build,
+        trace,
+        warm,
+    )
 
 
-#: Method families the stream check rotates through: the four joint
-#: ablations (stream-epoch; stream-scalar when the fuzz adds writes),
-#: two profiled-replay fixed-timeout methods (stream-missrun, or
-#: stream-writes under writes), two with the request-aware adaptive
-#: policy (stream-vectorized, whose misses run the per-miss policy
-#: hooks) and the disable model (stream-disable).
-_STREAM_METHODS = (
-    "JOINT",
-    "JOINT-NC",
-    "JOINT-MEM",
-    "JOINT-TO",
-    "2TNAP",
-    "2TPD",
-    "ADNAP",
-    "ADPD",
-    "2TDS",
-)
+#: Methods the stream scenario rotates through, each with the offline
+#: mode it replays read-only and with writes: the four joint ablations,
+#: two profiled-replay fixed-timeout methods, two with the request-aware
+#: adaptive policy (whose misses run the per-miss policy hooks) and the
+#: disable model.
+_STREAM_METHODS = {
+    "JOINT": (kernels.MODE_EPOCH, kernels.MODE_SCALAR),
+    "JOINT-NC": (kernels.MODE_EPOCH, kernels.MODE_SCALAR),
+    "JOINT-MEM": (kernels.MODE_EPOCH, kernels.MODE_SCALAR),
+    "JOINT-TO": (kernels.MODE_EPOCH, kernels.MODE_SCALAR),
+    "2TNAP": (kernels.MODE_MISSRUN, kernels.MODE_WRITES),
+    "2TPD": (kernels.MODE_MISSRUN, kernels.MODE_WRITES),
+    "ADNAP": (kernels.MODE_VECTORIZED, kernels.MODE_WRITES),
+    "ADPD": (kernels.MODE_VECTORIZED, kernels.MODE_WRITES),
+    "2TDS": (kernels.MODE_DISABLE, kernels.MODE_SCALAR),
+}
 
 
-def check_stream(case: VerifyCase) -> Optional[str]:
-    """Streaming replay vs the offline run of the same sequence, bit for bit.
-
-    The fuzzed stream is stretched across several manager periods, fed to
-    a :class:`~repro.service.streaming.StreamingManager` in random ragged
-    batches (empty batches and idle ``advance`` calls interleaved, and
-    occasionally an access snapped to an exact period boundary -- the
-    epoch-edge case), then closed at the offline run's duration.  Every
-    ``SimResult`` field must compare exactly equal to ``run_method`` on
-    the identical access sequence, and the stream must land on the
-    streaming twin of the offline replay mode.
-    """
-    from repro.service.streaming import StreamingManager
-    from repro.sim.prefill import warm_start_pages
-    from repro.sim.runner import run_method
-
-    if case.times.size == 0:
-        return None
-    machine = random_small_machine(case.seed)
-    rng = np.random.default_rng(case.seed ^ 0x57A3)
+def _stream_scenario(case, machine, rng) -> _Scenario:
+    """A ``StreamingManager`` fed the stretched stream in ragged batches
+    (empty ones included) with idle ``advance`` calls in the gaps, one
+    access often snapped onto an exact period boundary, and closed at
+    the offline duration; the reference is ``run_method`` on the same
+    sequence."""
     period = machine.manager.period_s
-    span = max(float(case.times[-1]), 1e-3)
-    times = case.times * (3.25 * period / span)
+    times = _stretched(case.times, period)
     if times.size >= 2 and rng.random() < 0.7:
         # Snap one access onto an exact boundary: the off-by-one epoch
         # edge (side='left' vs 'right') only shows up on exact ties.
         k = int(rng.integers(0, times.size))
-        times = times.copy()
         times[k] = period * max(int(round(times[k] / period)), 1)
         times = np.sort(times)
-    method = _STREAM_METHODS[int(rng.integers(0, len(_STREAM_METHODS)))]
+    methods = list(_STREAM_METHODS)
+    method = methods[int(rng.integers(0, len(methods)))]
     writes = None
     if rng.random() < 0.25:
         writes = rng.random(times.size) < 0.3
@@ -972,48 +862,88 @@ def check_stream(case: VerifyCase) -> Optional[str]:
         writes=writes,
     )
     warm = bool(rng.integers(0, 2))
-    duration = max(int(np.ceil(float(times[-1]) / period)), 1) * period
+    duration = float(max(int(np.ceil(float(times[-1]) / period)), 1) * period)
     prefill = warm_start_pages(trace) if warm else []
-    context = f"(method {method}, warm={warm}, writes={writes is not None})"
-
-    offline = run_method(
-        method, trace, machine, duration_s=float(duration), warm_start=warm
-    )
-    stream = StreamingManager(
-        method,
-        machine,
-        prefill=prefill,
-        expect_writes=writes is not None and bool(writes.any()),
-    )
+    has_writes = writes is not None and bool(writes.any())
     n = times.size
     cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(1, 8))).tolist())
     bounds = [0] + cuts + [n]
-    for lo, hi in zip(bounds, bounds[1:]):
-        stream.feed(
-            times[lo:hi],
-            case.pages[lo:hi],
-            None if writes is None else writes[lo:hi],
-        )
-        if rng.random() < 0.4:
-            # Idle advance within the gap to the next batch: boundaries
-            # that the fire rule allows must not change the outcome.
-            next_first = float(times[hi]) if hi < n else float(duration)
-            gap = next_first - stream.watermark
-            stream.advance(stream.watermark + rng.random() * max(gap, 0.0))
-    result = stream.close(float(duration))
 
-    expected_mode = f"stream-{offline.replay_mode}"
-    if result.replay_mode != expected_mode:
-        return (
-            f"stream replay mode {result.replay_mode} != expected "
-            f"{expected_mode} {context}"
+    def stream():
+        manager = StreamingManager(
+            method, machine, prefill=prefill, expect_writes=has_writes
         )
-    for f in dataclasses.fields(result):
-        if f.name == "replay_mode":
-            continue
-        diff = deep_diff(getattr(result, f.name), getattr(offline, f.name), f.name)
+        for lo, hi in zip(bounds, bounds[1:]):
+            manager.feed(
+                times[lo:hi],
+                case.pages[lo:hi],
+                None if writes is None else writes[lo:hi],
+            )
+            if rng.random() < 0.4:
+                # Idle advance within the gap to the next batch: boundaries
+                # that the fire rule allows must not change the outcome.
+                next_first = float(times[hi]) if hi < n else duration
+                gap = next_first - manager.watermark
+                manager.advance(manager.watermark + rng.random() * max(gap, 0.0))
+        return manager.close(duration), None
+
+    def offline():
+        return run_method(
+            method, trace, machine, duration_s=duration, warm_start=warm
+        ), None
+
+    mode = _STREAM_METHODS[method][1 if has_writes else 0]
+    return _Scenario(
+        "stream-" + mode,
+        f"(method {method}, warm={warm}, writes={writes is not None})",
+        stream,
+        offline,
+    )
+
+
+#: The parity scenarios -- one per fast replay mode, plus the stream --
+#: in the order every seed runs them, each with its own draw stream.
+_PARITY_SCENARIOS = (
+    ("vectorized", 0x5E67, _vectorized_scenario),
+    ("missrun", 0x3155, _missrun_scenario),
+    ("writes", 0x3317E5, _writes_scenario),
+    ("epoch", 0xE90C, _epoch_scenario),
+    ("disable", 0xD15AB1E, _disable_scenario),
+    ("stream", 0x57A3, _stream_scenario),
+)
+
+
+def check_parity(case: VerifyCase) -> Optional[str]:
+    """Every fast replay path vs the scalar loop, bit for bit.
+
+    Each scenario draws its memory, policy and trace variant from the
+    case seed and replays twice: with the fast paths on, where it must
+    report the scenario's mode, and under the ``$REPRO_KERNELS`` kill
+    switch.  Every ``SimResult`` field but ``replay_mode`` -- energies,
+    latencies, per-period series, every ``PeriodDecision`` -- and the
+    disk event log where one was recorded must compare exactly equal.
+    """
+    if case.times.size == 0:
+        return None
+    machine = random_small_machine(case.seed)
+    for name, salt, draw in _PARITY_SCENARIOS:
+        scenario = draw(case, machine, np.random.default_rng(case.seed ^ salt))
+        fast, fast_events = scenario.fast()
+        if fast.replay_mode != scenario.mode:
+            return (
+                f"{name}: fast path refused an eligible run (mode "
+                f"{fast.replay_mode}, expected {scenario.mode}) "
+                f"{scenario.context}"
+            )
+        with kernels_off():
+            slow, slow_events = scenario.reference()
+        if slow.replay_mode != kernels.MODE_SCALAR:
+            return f"{name}: reference run did not use the scalar loop"
+        diff = deep_diff(dataclasses.replace(fast, replay_mode=slow.replay_mode), slow)
+        if diff is None and fast_events is not None:
+            diff = deep_diff(fast_events, slow_events, "disk_events")
         if diff is not None:
-            return f"{diff} {context}"
+            return f"{name}: {diff} {scenario.context}"
     return None
 
 
@@ -1030,12 +960,8 @@ CHECKS: Dict[str, Callable[[VerifyCase], Optional[str]]] = {
     "predictor": check_predictor,
     "joint": check_joint,
     "energy": check_energy,
-    "kernels": check_kernels,
-    "missrun": check_missrun,
-    "writes": check_writes,
-    "epoch": check_epoch,
+    "parity": check_parity,
     "optimal": check_optimal,
-    "stream": check_stream,
     "fleet": check_fleet,
 }
 

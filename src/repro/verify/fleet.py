@@ -13,8 +13,8 @@ Three legs, one fuzzed seed each:
 2. **Migration-disabled engine vs the legacy oracle** -- with a static
    layout and a policy that never fires ``on_period``, the
    :class:`~repro.fleet.engine.FleetEngine` must produce the exact
-   operation sequence of :class:`~repro.multidisk.engine.MultiDiskEngine`
-   (kept deliberately independent of the fleet code): every result
+   operation sequence of :class:`MultiDiskEngine` below (kept
+   deliberately independent of the fleet code): every result
    field compares bit-equal, and no migration/timeout telemetry may
    appear.
 3. **Migration conservation** -- a migrating run on a hot set scattered
@@ -37,15 +37,24 @@ from typing import Optional
 import numpy as np
 
 from repro.campaign.tasks import WorkloadSpec
-from repro.fleet.engine import FleetEngine
+from repro.config.machine import MachineConfig
+from repro.disk.service import ServiceModel
+from repro.errors import SimulationError
+from repro.fleet.array import DiskArray
+from repro.fleet.engine import FleetEngine, MultiDiskResult, PolicyFactory
 from repro.fleet.layout import (
+    DataLayout,
     MigratingLayout,
     PartitionedLayout,
     StripedLayout,
 )
 from repro.fleet.sharding import FleetSpec, fleet_plan, run_fleet_monolithic
-from repro.multidisk.engine import MultiDiskEngine
+from repro.memory.system import MemorySystem
+from repro.policies.base import NO_CHANGE
 from repro.policies.registry import parse_method
+from repro.sim.engine import SEQUENTIAL_MERGE_WINDOW_S
+from repro.sim.metrics import MetricsCollector
+from repro.traces.trace import Trace
 from repro.verify.strategies import VerifyCase, random_small_machine
 
 #: Methods the fan-out leg cycles through (memory policy x disk policy).
@@ -58,6 +67,145 @@ _FLEET_SHAPES = (
     ("striped", 2),
     ("migrating", 2),
 )
+
+
+class MultiDiskEngine:
+    """The static-parity oracle: a shared cache over an N-disk array.
+
+    The plain scalar replay with no period-boundary processing, kept
+    independent of :mod:`repro.fleet.engine` on purpose: with a static
+    layout and no ``on_period`` policy the fleet engine must perform
+    exactly this loop's operations, which leg 2 compares bit for bit.
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        memory: MemorySystem,
+        layout: DataLayout,
+        policy_factory: PolicyFactory,
+        label: str = "multidisk",
+    ) -> None:
+        self.machine = machine
+        self.memory = memory
+        self.label = label
+        service = ServiceModel(machine.disk, machine.page_bytes)
+        self.array = DiskArray(machine.disk, service, layout)
+        self.policies = [policy_factory() for _ in range(layout.num_disks)]
+
+    def run(
+        self,
+        trace: Trace,
+        duration_s: Optional[float] = None,
+        warmup_s: float = 0.0,
+    ) -> MultiDiskResult:
+        machine = self.machine
+        period = machine.manager.period_s
+        if duration_s is None:
+            periods = max(int(np.ceil(trace.duration_s / period)), 1)
+            duration_s = periods * period
+        if warmup_s < 0 or warmup_s >= duration_s:
+            raise SimulationError("warm-up must be within the duration")
+
+        if trace.writes is not None and bool(trace.writes.any()):
+            raise SimulationError(
+                "the multi-disk engine does not model write-back yet; "
+                "strip writes or use the single-disk SimulationEngine"
+            )
+        metrics = MetricsCollector(
+            period_s=period,
+            long_latency_threshold_s=machine.manager.long_latency_threshold_s,
+            aggregation_window_s=machine.manager.aggregation_window_s,
+        )
+        array = self.array
+        memory = self.memory
+        for index, policy in enumerate(self.policies):
+            array.set_timeout(0.0, index, policy.initial_timeout())
+
+        last_miss_page = [-2] * array.num_disks
+        last_miss_time = [-np.inf] * array.num_disks
+        mem_mark = memory.energy.snapshot() if warmup_s == 0 else None
+        disk_marks = array.snapshots() if warmup_s == 0 else None
+        measuring = warmup_s == 0
+
+        for now, page in zip(trace.times.tolist(), trace.pages.tolist()):
+            if now >= duration_s:
+                break
+            if not measuring and now >= warmup_s:
+                memory.checkpoint(warmup_s)
+                array.checkpoint(warmup_s)
+                mem_mark = memory.energy.snapshot()
+                disk_marks = array.snapshots()
+                metrics = MetricsCollector(
+                    period_s=period,
+                    long_latency_threshold_s=(
+                        machine.manager.long_latency_threshold_s
+                    ),
+                    aggregation_window_s=machine.manager.aggregation_window_s,
+                )
+                measuring = True
+
+            hit = memory.access(now, page)
+            if hit:
+                metrics.on_hit(now)
+                continue
+
+            disk_index = array.layout.disk_of(page)
+            sequential = (
+                page == last_miss_page[disk_index] + 1
+                and now - last_miss_time[disk_index] <= SEQUENTIAL_MERGE_WINDOW_S
+            )
+            last_miss_page[disk_index] = page
+            last_miss_time[disk_index] = now
+
+            disk = array.disks[disk_index]
+            idle_before = max(now - disk.busy_until, 0.0)
+            result = disk.submit(now, 1, sequential=sequential)
+            metrics.on_miss(now, result.latency_s, result.wake_delay_s)
+
+            policy = self.policies[disk_index]
+            update = policy.on_request(
+                now, result.latency_s, result.wake_delay_s, idle_before
+            )
+            if update is not NO_CHANGE:
+                disk.set_timeout(now, update)
+
+        if not measuring:
+            memory.checkpoint(warmup_s)
+            array.checkpoint(warmup_s)
+            mem_mark = memory.energy.snapshot()
+            disk_marks = array.snapshots()
+        array.finalize(duration_s)
+        memory.finalize(duration_s)
+        assert mem_mark is not None and disk_marks is not None
+
+        observed = duration_s - warmup_s
+        per_disk = [
+            disk.energy.minus(mark)
+            for disk, mark in zip(array.disks, disk_marks)
+        ]
+        disk_energy = sum(
+            energy.total_joules(machine.disk) for energy in per_disk
+        )
+        memory_energy = memory.energy.minus(mem_mark)
+        standby_fractions = [
+            energy.standby_s / observed if observed > 0 else 0.0
+            for energy in per_disk
+        ]
+        return MultiDiskResult(
+            label=self.label,
+            duration_s=observed,
+            num_disks=array.num_disks,
+            memory_energy_j=memory_energy.total_j,
+            disk_energy_j=disk_energy,
+            per_disk=per_disk,
+            total_accesses=metrics.total_accesses,
+            disk_page_accesses=metrics.total_disk_pages,
+            mean_latency_s=metrics.mean_latency_s,
+            long_latency=metrics.total_long_latency,
+            spin_down_cycles=sum(e.spin_down_cycles for e in per_disk),
+            standby_fractions=standby_fractions,
+        )
 
 
 def _check_fanout(case: VerifyCase) -> Optional[str]:

@@ -106,26 +106,6 @@ def access_patterns(max_size: int = 300) -> st.SearchStrategy[List[int]]:
     )
 
 
-def timed_accesses(
-    max_size: int = 200,
-) -> st.SearchStrategy[Tuple[List[float], List[int]]]:
-    """``(times, pages)`` with bursty and idle gaps mixed together."""
-
-    def build(raw: List[Tuple[float, int]]) -> Tuple[List[float], List[int]]:
-        times: List[float] = []
-        clock = 0.0
-        for gap, _ in raw:
-            clock += gap
-            times.append(clock)
-        return times, [page for _, page in raw]
-
-    gap = st.one_of(
-        st.floats(min_value=0.0, max_value=0.2),  # inside the window
-        st.floats(min_value=0.2, max_value=120.0),  # real idleness
-    )
-    return st.lists(st.tuples(gap, page_ids()), max_size=max_size).map(build)
-
-
 # --- Hypothesis: hardware specs -----------------------------------------------
 
 

@@ -1,76 +1,71 @@
-"""Depth counters -> miss counts at any memory size."""
+"""The paper's per-depth counters (Fig. 3) -> miss counts at any size.
+
+:meth:`TraceProfile.hit_counts` / :meth:`~TraceProfile.miss_counts` are
+the counters of the extended LRU list: an access at 0-based depth ``d``
+hits any cache of more than ``d`` pages, so for ``m`` pages
+``misses(m) = cold misses + #accesses with depth >= m``.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.counters import COLD_MISS, DepthCounters
+from repro.cache.profile import TraceProfile
+from repro.cache.stack_distance import COLD
 from repro.errors import SimulationError
+
+
+def profile_of(depths) -> TraceProfile:
+    return TraceProfile(
+        depths=np.asarray(depths, dtype=np.int64), warm_start=False, key=""
+    )
 
 
 class TestRecording:
     def test_totals(self):
-        counters = DepthCounters()
-        counters.record_many([COLD_MISS, 0, 0, 3])
-        assert counters.total_accesses == 4
-        assert counters.cold_misses == 1
-        assert counters.hits_at(0) == 2
-        assert counters.hits_at(3) == 1
-        assert counters.max_depth == 3
-
-    def test_rejects_invalid_depth(self):
-        with pytest.raises(SimulationError):
-            DepthCounters().record(-2)
-
-    def test_reset(self):
-        counters = DepthCounters()
-        counters.record(2)
-        counters.reset()
-        assert counters.total_accesses == 0
-        assert counters.max_depth == -1
+        profile = profile_of([COLD, 0, 0, 3])
+        assert len(profile) == 4
+        # Hits gained per extra page of memory: the per-depth counters.
+        assert np.diff(profile.hit_counts(np.arange(6))).tolist() == [
+            2, 0, 0, 1, 0
+        ]
+        # Only the cold access misses a cache deeper than every reuse.
+        assert profile.miss_counts([4]).tolist() == [1]
 
 
 class TestMissCounts:
     def test_misses_at_size(self):
-        counters = DepthCounters()
-        counters.record_many([COLD_MISS, 0, 1, 1, 5])
-        # capacity 0: everything misses
-        assert counters.misses_at_size(0) == 5
-        # capacity 1: depth 0 hits
-        assert counters.misses_at_size(1) == 4
-        # capacity 2: depths 0,1 hit
-        assert counters.misses_at_size(2) == 2
-        # capacity 6: only the cold miss remains
-        assert counters.misses_at_size(6) == 1
+        profile = profile_of([COLD, 0, 1, 1, 5])
+        # capacity 0: everything misses; 1: depth 0 hits; 2: depths 0, 1
+        # hit; 6: only the cold miss remains.
+        assert profile.miss_counts([0, 1, 2, 6]).tolist() == [5, 4, 2, 1]
 
     def test_vectorised_matches_scalar(self):
-        counters = DepthCounters()
-        counters.record_many([COLD_MISS, 0, 2, 2, 7, 9, COLD_MISS])
+        depths = [COLD, 0, 2, 2, 7, 9, COLD]
+        profile = profile_of(depths)
         sizes = list(range(0, 12))
-        assert counters.misses_at_sizes(sizes) == [
-            counters.misses_at_size(s) for s in sizes
+        assert profile.miss_counts(sizes).tolist() == [
+            sum(1 for d in depths if d == COLD or d >= s) for s in sizes
         ]
 
     def test_vectorised_empty_input(self):
-        assert DepthCounters().misses_at_sizes([]) == []
+        assert profile_of([COLD, 0]).miss_counts([]).tolist() == []
 
     def test_vectorised_no_reuse(self):
-        counters = DepthCounters()
-        counters.record_many([COLD_MISS] * 3)
-        assert counters.misses_at_sizes([0, 5]) == [3, 3]
+        assert profile_of([COLD] * 3).miss_counts([0, 5]).tolist() == [3, 3]
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(SimulationError):
-            DepthCounters().misses_at_size(-1)
+            profile_of([COLD, 0]).miss_counts([-1])
         with pytest.raises(SimulationError):
-            DepthCounters().misses_at_sizes([1, -1])
+            profile_of([COLD, 0]).hit_counts([1, -1])
 
     def test_miss_ratio_curve_shape(self):
-        counters = DepthCounters()
-        counters.record_many([COLD_MISS, 0, 1, 3, 3])
-        curve = counters.miss_ratio_curve(5)
+        profile = profile_of([COLD, 0, 1, 3, 3])
+        curve = profile.miss_counts(np.arange(6))
         assert curve.tolist() == [5, 4, 3, 3, 1, 1]
 
     @given(
@@ -80,9 +75,7 @@ class TestMissCounts:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_nonincreasing_property(self, depths):
-        counters = DepthCounters()
-        counters.record_many(depths)
-        curve = counters.miss_ratio_curve(45)
+        curve = profile_of(depths).miss_counts(np.arange(46))
         assert all(a >= b for a, b in zip(curve, curve[1:]))
-        assert curve[0] == counters.total_accesses
-        assert curve[-1] == counters.cold_misses
+        assert curve[0] == len(depths)
+        assert curve[-1] == depths.count(COLD)

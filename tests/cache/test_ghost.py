@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.counters import COLD_MISS
 from repro.cache.ghost import ExtendedLRUList
-from repro.cache.stack_distance import StackDistanceTracker
+from repro.cache.stack_distance import COLD, StackDistanceTracker
 from repro.errors import SimulationError
 
 
 class TestBasics:
     def test_positions_are_stack_depths(self):
         lru = ExtendedLRUList(total_slots=4, resident_pages=2)
-        assert lru.access(1) == COLD_MISS
-        assert lru.access(2) == COLD_MISS
+        assert lru.access(1) == COLD
+        assert lru.access(2) == COLD
         assert lru.access(1) == 1
         assert lru.access(1) == 0
 
@@ -35,7 +34,7 @@ class TestBasics:
         lru.access(1)
         lru.access(2)
         lru.access(3)  # 1 falls off entirely
-        assert lru.access(1) == COLD_MISS
+        assert lru.access(1) == COLD
 
     def test_resize_resident_does_not_touch_list(self):
         lru = ExtendedLRUList(total_slots=4, resident_pages=2)

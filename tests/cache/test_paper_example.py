@@ -12,11 +12,22 @@ LRU list whose top four slots are resident:
 
 from __future__ import annotations
 
-from repro.cache.counters import COLD_MISS, DepthCounters
+import numpy as np
+
 from repro.cache.ghost import ExtendedLRUList
-from repro.cache.stack_distance import StackDistanceTracker
+from repro.cache.profile import build_profile
+from repro.cache.stack_distance import COLD, StackDistanceTracker
+from repro.traces.trace import Trace
 
 ACCESSES = (1, 2, 3, 5, 2, 1, 4, 6, 5, 2)
+
+
+def _profile():
+    trace = Trace(
+        times=np.arange(len(ACCESSES), dtype=np.float64),
+        pages=np.asarray(ACCESSES, dtype=np.int64),
+    )
+    return build_profile(trace, warm_start=False)
 
 
 def test_counters_match_figure_3():
@@ -25,6 +36,8 @@ def test_counters_match_figure_3():
         lru.access(page)
     # Paper: "the values of the counters are (0, 0, 1, 1, 2, 0, 0, 0)".
     assert lru.counters == [0, 0, 1, 1, 2, 0, 0, 0]
+    # The i-th counter is the profile's hit-count step at size i.
+    assert np.diff(_profile().hit_counts(np.arange(9))).tolist() == lru.counters
 
 
 def test_list_order_after_first_four_accesses():
@@ -36,24 +49,18 @@ def test_list_order_after_first_four_accesses():
 
 
 def test_disk_access_counts_per_memory_size():
-    counters = DepthCounters()
-    tracker = StackDistanceTracker()
-    for page in ACCESSES:
-        counters.record(tracker.access(page))
+    profile = _profile()
 
     # Six cold (first) accesses can never be avoided: 1, 2, 3, 5, 4, 6.
-    assert counters.cold_misses == 6
+    assert int(np.count_nonzero(profile.depths == COLD)) == 6
 
-    # Paper: 8 disk accesses at 4 pages (6 cold + pages 5 and 2 reloaded).
-    assert counters.misses_at_size(4) == 8
-    # Paper: shrinking to 3 pages adds one miss -> 9.
-    assert counters.misses_at_size(3) == 9
-    # Paper: growing to 5 pages avoids the two reloads -> 6.
-    assert counters.misses_at_size(5) == 6
-    # Paper: "further increasing the memory size has the same disk IO".
-    assert counters.misses_at_size(6) == 6
-    assert counters.misses_at_size(8) == 6
-    assert counters.misses_at_size(100) == 6
+    # Paper: 8 disk accesses at 4 pages (6 cold + pages 5 and 2 reloaded);
+    # shrinking to 3 pages adds one miss -> 9; growing to 5 pages avoids
+    # the two reloads -> 6; "further increasing the memory size has the
+    # same disk IO".
+    assert profile.miss_counts([4, 3, 5, 6, 8, 100]).tolist() == [
+        8, 9, 6, 6, 6, 6
+    ]
 
 
 def test_ghost_list_and_tracker_agree_on_the_example():
@@ -78,7 +85,7 @@ def test_fig4_idle_interval_reconstruction():
     depths = [tracker.access(page) for page in ACCESSES]
 
     def is_disk(depth: int, memory_pages: int) -> bool:
-        return depth == COLD_MISS or depth >= memory_pages
+        return depth == COLD or depth >= memory_pages
 
     at4 = [is_disk(d, 4) for d in depths]
     at2 = [is_disk(d, 2) for d in depths]

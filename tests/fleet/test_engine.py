@@ -14,11 +14,11 @@ from repro.fleet.layout import (
     StripedLayout,
 )
 from repro.memory.system import NapMemorySystem
-from repro.multidisk.engine import MultiDiskEngine
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.policies.pareto_timeout import ParetoTimeoutPolicy
 from repro.traces.trace import Trace
 from repro.units import MB
+from repro.verify.fleet import MultiDiskEngine
 
 
 def _memory(machine):

@@ -7,14 +7,14 @@ import pytest
 
 from repro.disk.service import ServiceModel
 from repro.errors import SimulationError
+from repro.fleet.array import DiskArray
+from repro.fleet.layout import PartitionedLayout, StripedLayout
 from repro.memory.system import NapMemorySystem
-from repro.multidisk.array import DiskArray
-from repro.multidisk.engine import MultiDiskEngine
-from repro.multidisk.layout import PartitionedLayout, StripedLayout
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.traces.specweb import generate_trace
 from repro.traces.trace import Trace
 from repro.units import GB, MB
+from repro.verify.fleet import MultiDiskEngine
 
 
 class TestDiskArray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.multidisk.layout import PartitionedLayout, StripedLayout
+from repro.fleet.layout import PartitionedLayout, StripedLayout
 
 
 class TestPartitioned:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk.service import ServiceModel
+from repro.fleet.array import DiskArray
+from repro.fleet.layout import PartitionedLayout, StripedLayout
 from repro.memory.system import NapMemorySystem
-from repro.multidisk.array import DiskArray
-from repro.multidisk.engine import MultiDiskEngine
-from repro.multidisk.layout import PartitionedLayout, StripedLayout
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.traces.trace import Trace
 from repro.units import GB
+from repro.verify.fleet import MultiDiskEngine
 
 events = st.lists(
     st.tuples(

@@ -1,11 +1,11 @@
-"""The multidisk package's public surface, cross-checked against the
-single-disk engine's replay modes.
+"""The static fleet array, cross-checked against the single-disk
+engine's replay modes.
 
 A one-disk array with the same cache must reproduce the single-disk
 engine's miss stream regardless of which replay loop the single-disk
-side took (scalar or vectorized) -- the multidisk engine is always
-scalar, so this pins the package to the kernels the rest of the repo
-trusts.
+side took (scalar or vectorized) -- the fleet engine replays a static
+layout on its scalar loop, so this pins it to the kernels the rest of
+the repo trusts.
 """
 
 from __future__ import annotations
@@ -13,16 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.multidisk as multidisk
-from repro.memory.system import NapMemorySystem
-from repro.multidisk import (
+from repro.fleet import (
     DataLayout,
-    DiskArray,
-    MultiDiskEngine,
-    MultiDiskResult,
+    FleetEngine,
     PartitionedLayout,
     StripedLayout,
 )
+from repro.memory.system import NapMemorySystem
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.sim.runner import run_method
 from repro.traces.specweb import generate_trace
@@ -30,21 +27,13 @@ from repro.units import GB, MB
 
 
 class TestSurface:
-    def test_all_exports_resolve(self):
-        for name in multidisk.__all__:
-            assert getattr(multidisk, name) is not None
-
     def test_layouts_are_data_layouts(self):
         assert issubclass(PartitionedLayout, DataLayout)
         assert issubclass(StripedLayout, DataLayout)
 
-    def test_result_type_is_exported(self):
-        assert MultiDiskResult.__name__ in multidisk.__all__
-        assert DiskArray.__name__ in multidisk.__all__
-
 
 class TestCrossEngineAgreement:
-    """One disk, same cache: multidisk == single-disk, in every mode."""
+    """One disk, same cache: fleet array == single-disk, in every mode."""
 
     @pytest.fixture(scope="class")
     def trace(self, machine):
@@ -59,7 +48,7 @@ class TestCrossEngineAgreement:
 
     def _multi(self, machine, trace, num_disks=1):
         pages_total = int(np.ceil(16 * GB / machine.page_bytes))
-        engine = MultiDiskEngine(
+        engine = FleetEngine(
             machine,
             NapMemorySystem(machine.memory, 8 * GB),
             PartitionedLayout(
@@ -90,7 +79,7 @@ class TestCrossEngineAgreement:
 
     def test_epoch_mode_run_sees_same_workload(self, machine, trace):
         # The joint manager takes the epoch kernel; its workload counters
-        # must agree with the (scalar) multidisk replay of the same trace.
+        # must agree with the (scalar) fleet replay of the same trace.
         joint = run_method(
             "JOINT", trace, machine, duration_s=600.0, warm_start=False
         )

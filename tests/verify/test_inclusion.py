@@ -13,10 +13,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.counters import COLD_MISS
 from repro.cache.ghost import ExtendedLRUList
 from repro.cache.predictor import ResizePredictor
-from repro.cache.stack_distance import StackDistanceTracker
+from repro.cache.stack_distance import COLD, StackDistanceTracker
 from repro.verify.oracles import naive_lru_misses
 from repro.verify.strategies import access_patterns
 
@@ -28,7 +27,7 @@ CAPACITIES = tuple(range(0, 24))
 def test_ghost_list_misses_monotone_in_size(pages):
     slots = 64  # larger than any working set access_patterns() generates
     lru = ExtendedLRUList(slots, resident_pages=8)
-    cold = sum(1 for page in pages if lru.access(page) == COLD_MISS)
+    cold = sum(1 for page in pages if lru.access(page) == COLD)
     misses = [cold + lru.misses_if_resident(m) for m in range(slots + 1)]
     for smaller, larger in zip(misses, misses[1:]):
         assert smaller >= larger
@@ -40,7 +39,7 @@ def test_ghost_list_misses_monotone_in_size(pages):
 @settings(max_examples=100, deadline=None)
 def test_ghost_list_matches_literal_lru(pages):
     lru = ExtendedLRUList(64, resident_pages=8)
-    cold = sum(1 for page in pages if lru.access(page) == COLD_MISS)
+    cold = sum(1 for page in pages if lru.access(page) == COLD)
     for m in range(1, 33):
         assert cold + lru.misses_if_resident(m) == naive_lru_misses(pages, m)
 

@@ -1,4 +1,4 @@
-"""CHECKS["kernels"]: passes on clean code, catches injected accrual bugs.
+"""CHECKS["parity"]: passes on clean code, catches injected accrual bugs.
 
 The two mutations target the power-down model's batched bank accrual
 (``PowerDownMemorySystem.charge_hit_run``): a wake charged when an
@@ -24,18 +24,18 @@ from repro.verify.strategies import random_case
 
 def test_kernels_check_clean(seed_range=range(12)):
     for seed in seed_range:
-        assert CHECKS["kernels"](random_case(seed)) is None
+        assert CHECKS["parity"](random_case(seed)) is None
 
 
 def test_kernels_check_via_runner():
-    report = run_differential(seeds=6, checks=["kernels"])
+    report = run_differential(seeds=6, checks=["parity"])
     assert report.ok
-    assert report.outcomes[0].name == "kernels"
+    assert report.outcomes[0].name == "parity"
 
 
 def _first_divergence(max_seed=30):
     for seed in range(max_seed):
-        diff = CHECKS["kernels"](random_case(seed))
+        diff = CHECKS["parity"](random_case(seed))
         if diff is not None:
             return seed, diff
     return None, None
@@ -60,7 +60,7 @@ def test_catches_wake_on_boundary(monkeypatch):
         _mutant("now > boundary", "now >= boundary"),
     )
     seed, diff = _first_divergence()
-    assert diff is not None, "wake on >= escaped the kernels check"
+    assert diff is not None, "wake on >= escaped the parity check"
 
 
 def test_catches_accrual_from_last_access(monkeypatch):
@@ -75,7 +75,7 @@ def test_catches_accrual_from_last_access(monkeypatch):
     )
     seed, diff = _first_divergence()
     assert diff is not None, (
-        "accrual from the last access escaped the kernels check"
+        "accrual from the last access escaped the parity check"
     )
     assert "warm-up 0.0s" not in diff
 
@@ -83,4 +83,4 @@ def test_catches_accrual_from_last_access(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_check_is_deterministic(seed):
     case = random_case(seed)
-    assert CHECKS["kernels"](case) == CHECKS["kernels"](case)
+    assert CHECKS["parity"](case) == CHECKS["parity"](case)

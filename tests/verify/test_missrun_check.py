@@ -1,4 +1,4 @@
-"""CHECKS["missrun"]: passes on clean code, catches injected kernel bugs.
+"""CHECKS["parity"]: passes on clean code, catches injected miss-run bugs.
 
 The three mutations mirror the miss-run kernel's load-bearing pieces:
 the disk's busy-until recurrence, the sequential-merge pricing, and the
@@ -17,20 +17,20 @@ from repro.verify.differential import CHECKS, run_differential
 from repro.verify.strategies import random_case
 
 
-def test_missrun_check_clean(seed_range=range(12)):
+def test_missrun_check_clean(seed_range=range(12, 24)):
     for seed in seed_range:
-        assert CHECKS["missrun"](random_case(seed)) is None
+        assert CHECKS["parity"](random_case(seed)) is None
 
 
 def test_missrun_check_via_runner():
-    report = run_differential(seeds=6, checks=["missrun"])
+    report = run_differential(seeds=6, checks=["parity"], first_seed=6)
     assert report.ok
-    assert report.outcomes[0].name == "missrun"
+    assert report.outcomes[0].name == "parity"
 
 
 def _first_divergence(max_seed=30):
     for seed in range(max_seed):
-        diff = CHECKS["missrun"](random_case(seed))
+        diff = CHECKS["parity"](random_case(seed))
         if diff is not None:
             return seed, diff
     return None, None
@@ -48,7 +48,7 @@ def test_catches_busy_until_off_by_one(monkeypatch):
 
     monkeypatch.setattr(SimDisk, "submit_run", buggy)
     seed, diff = _first_divergence()
-    assert diff is not None, "busy_until off-by-one escaped the missrun check"
+    assert diff is not None, "busy_until off-by-one escaped the parity check"
     assert seed is not None
 
 
@@ -62,7 +62,7 @@ def test_catches_dropped_sequential_merge(monkeypatch):
     monkeypatch.setattr(kernels, "_miss_run_services", buggy)
     seed, diff = _first_divergence()
     assert diff is not None, (
-        "dropped sequential-merge flag escaped the missrun check"
+        "dropped sequential-merge flag escaped the parity check"
     )
 
 
@@ -76,10 +76,10 @@ def test_catches_misclamped_wake_delay(monkeypatch):
 
     monkeypatch.setattr(SimDisk, "submit_run", buggy)
     seed, diff = _first_divergence()
-    assert diff is not None, "mis-clamped wake delay escaped the missrun check"
+    assert diff is not None, "mis-clamped wake delay escaped the parity check"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_check_is_deterministic(seed):
     case = random_case(seed)
-    assert CHECKS["missrun"](case) == CHECKS["missrun"](case)
+    assert CHECKS["parity"](case) == CHECKS["parity"](case)
