@@ -587,8 +587,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file_scale=machine.scale,
         )
         source = "generated (SPECWeb99-class)"
-    profile = characterize(trace)
-    print(render_table(profile.summary_rows(), title=f"workload: {source}"))
+    stats = characterize(trace)
+    print(render_table(stats.summary_rows(), title=f"workload: {source}"))
     if args.save:
         from repro.traces.trace_io import save_npz
 

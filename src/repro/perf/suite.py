@@ -623,14 +623,12 @@ def _suite_fullres(quick: bool) -> Dict[str, Any]:
         return run_method("2TDS-128GB", full, kernel_machine, warm_start=False)
 
     def chunked_pipeline():
-        source = generate_trace_chunked(chunk_accesses=1 << 20, **kernel_kwargs)
-        return run_chunked("2TDS-128GB", source, kernel_machine)
+        source = generate_trace_chunked(**kernel_kwargs)
+        return run_chunked(
+            "2TDS-128GB", source, kernel_machine, chunk_accesses=1 << 20
+        )
 
-    pipeline_accesses = int(
-        generate_trace_chunked(
-            chunk_accesses=1 << 20, **kernel_kwargs
-        ).num_accesses
-    )
+    pipeline_accesses = int(generate_trace_chunked(**kernel_kwargs).num_accesses)
     # Both pipelines churn ~240k-access arrays; collect between the two
     # timed windows so one side's garbage doesn't bill the other.
     import gc
@@ -667,12 +665,10 @@ def _suite_fullres(quick: bool) -> Dict[str, Any]:
         return run_method("2TDS-128GB", full, fine, warm_start=False)
 
     def chunked_fine():
-        source = generate_trace_chunked(chunk_accesses=1 << 16, **fine_kwargs)
-        return run_chunked("2TDS-128GB", source, fine)
+        source = generate_trace_chunked(**fine_kwargs)
+        return run_chunked("2TDS-128GB", source, fine, chunk_accesses=1 << 16)
 
-    fine_accesses = int(
-        generate_trace_chunked(chunk_accesses=1 << 16, **fine_kwargs).num_accesses
-    )
+    fine_accesses = int(generate_trace_chunked(**fine_kwargs).num_accesses)
     materialized_peak = _traced_peak(materialized_fine)
     entries["pipeline_peak_materialized"] = _memory_entry(
         materialized_peak, scale=1, accesses=fine_accesses

@@ -16,6 +16,7 @@ from repro.policies.registry import MethodSpec, parse_method
 from repro.sim.engine import SimulationEngine
 from repro.sim.prefill import warm_start_pages
 from repro.sim.results import SimResult
+from repro.traces.chunked import DEFAULT_CHUNK_ACCESSES
 from repro.traces.trace import Trace
 
 
@@ -120,6 +121,7 @@ def run_chunked(
     warmup_s: float = 0.0,
     prefill: Optional[list] = None,
     label: Optional[str] = None,
+    chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
 ) -> SimResult:
     """Replay a :class:`~repro.traces.chunked.ChunkedTrace` chunk by chunk.
 
@@ -127,10 +129,11 @@ def run_chunked(
     :class:`~repro.service.streaming.StreamingManager`, so the run
     inherits the streaming layer's bit-exactness contract: the result is
     identical to ``run_method`` on the materialized trace with the same
-    ``prefill`` and duration -- but peak memory is bounded by the chunk
-    size plus the streaming buffer (one epoch of pending accesses),
-    never the full trace.  The default duration rounds the last access
-    up to a whole number of periods, exactly as ``engine.run`` does.
+    ``prefill`` and duration -- but peak memory is bounded by
+    ``chunk_accesses`` plus the streaming buffer (one epoch of pending
+    accesses), never the full trace.  The default duration rounds the
+    last access up to a whole number of periods, exactly as
+    ``engine.run`` does.
 
     ``prefill`` seeds the caches (``run_method``'s ``warm_start`` needs
     the full trace to compute its prefill, so chunked runs default to a
@@ -147,7 +150,7 @@ def run_chunked(
         expect_writes=bool(getattr(source, "has_writes", False)),
         label=label,
     )
-    for chunk in source.chunks():
+    for chunk in source.chunks(chunk_accesses):
         stream.feed(chunk.times, chunk.pages, chunk.writes)
     return stream.close(duration_s)
 

@@ -9,13 +9,15 @@ characteristics independently: data-set size, data rate and popularity
 * :mod:`repro.traces.specweb` -- the trace generator,
 * :mod:`repro.traces.synthesizer` -- the paper's three transforms,
 * :mod:`repro.traces.trace` -- the trace container and its statistics,
-* :mod:`repro.traces.trace_io` -- persistence.
+* :mod:`repro.traces.trace_io` -- persistence,
+* :mod:`repro.traces.chunked` -- every source as a bounded-memory chunk
+  stream, whose ``materialize()`` is the trace the builders return.
 """
 
 from repro.traces import suites
 from repro.traces.arrivals import bmodel_arrivals, gap_tail_weight, poisson_arrivals
 from repro.traces.block_trace import from_requests, load_block_csv
-from repro.traces.characterize import TraceProfile, characterize
+from repro.traces.characterize import TraceStats, characterize
 from repro.traces.compose import concatenate, interleave
 from repro.traces.fileset import FileSet, specweb_fileset
 from repro.traces.modulation import diurnal_profile, modulate_rate, onoff_profile
@@ -30,7 +32,7 @@ from repro.traces.zipf import ZipfSampler, calibrate_exponent, popularity_ratio
 
 __all__ = [
     "FileSet",
-    "TraceProfile",
+    "TraceStats",
     "bmodel_arrivals",
     "gap_tail_weight",
     "poisson_arrivals",

@@ -3,13 +3,14 @@
 Lets real-world traces drive the simulators: each record is a byte-range
 request (``timestamp, offset, size``) against a block device; the importer
 expands it to the page accesses the disk cache would see, at the machine's
-page granularity.  Three forms:
+page granularity.  Two forms:
 
 * a minimal CSV (``time,offset,size`` with a header),
-* the same CSV delivered as a bounded-memory :class:`ChunkedTrace`
-  (:func:`load_block_csv_chunked`) for request logs whose page expansion
-  would not fit in RAM, and
-* an in-memory array form for programmatic use.
+* an in-memory array form for programmatic use,
+
+each also as a bounded-memory :class:`ChunkedTrace`
+(:func:`load_block_csv_chunked`, :func:`from_requests_chunked`) for
+request logs whose page expansion would not fit in RAM.
 
 Only reads and writes that reach the cache matter to the paper's system,
 so no distinction is made between them (the paper's traces are web-server
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.chunked import DEFAULT_CHUNK_ACCESSES, ChunkedTrace, TraceChunk
+from repro.traces.chunked import ChunkedTrace, expand_requests
 from repro.traces.trace import Trace
 from repro.units import PAGE_SIZE
 
@@ -53,15 +54,44 @@ def _validate_requests(
         raise TraceError("intra-request gap must be non-negative")
 
 
-def _request_plan(
-    offsets_arr: np.ndarray, sizes_arr: np.ndarray, page_size: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-request ``(first_page, pages_per_request, starts)``."""
+def from_requests_chunked(
+    times: Sequence[float],
+    offsets: Sequence[int],
+    sizes: Sequence[int],
+    page_size: int = PAGE_SIZE,
+    intra_request_gap_s: float = 0.0003,
+) -> ChunkedTrace:
+    """Expand byte-range requests into page accesses, as a chunk stream.
+
+    A request covering bytes ``[offset, offset + size)`` touches every
+    page it overlaps; the pages are emitted sequentially, spaced by
+    ``intra_request_gap_s`` (the per-page service spacing a streaming
+    read exhibits), starting at the request's timestamp.  Each access's
+    ``files`` entry is the index of its request.  Holds the O(requests)
+    plan but never the full page expansion.
+    """
+    times_arr = np.asarray(times, dtype=float)
+    offsets_arr = np.asarray(offsets, dtype=np.int64)
+    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    _validate_requests(
+        times_arr, offsets_arr, sizes_arr, page_size, intra_request_gap_s
+    )
     first_page = offsets_arr // page_size
     last_page = (offsets_arr + sizes_arr - 1) // page_size
-    pages_per_request = (last_page - first_page + 1).astype(np.int64)
-    starts = np.concatenate(([0], np.cumsum(pages_per_request)[:-1]))
-    return first_page, pages_per_request, starts
+    return expand_requests(
+        times_arr,
+        first_page,
+        (last_page - first_page + 1).astype(np.int64),
+        intra_request_gap_s,
+        labels=np.arange(times_arr.size),
+        writes=None,
+        page_size=page_size,
+        meta={
+            "source": "block-trace",
+            "requests": int(times_arr.size),
+            "page_size": page_size,
+        },
+    )
 
 
 def from_requests(
@@ -71,42 +101,10 @@ def from_requests(
     page_size: int = PAGE_SIZE,
     intra_request_gap_s: float = 0.0003,
 ) -> Trace:
-    """Expand byte-range requests into page accesses.
-
-    A request covering bytes ``[offset, offset + size)`` touches every
-    page it overlaps; the pages are emitted sequentially, spaced by
-    ``intra_request_gap_s`` (the per-page service spacing a streaming
-    read exhibits), starting at the request's timestamp.
-    """
-    times_arr = np.asarray(times, dtype=float)
-    offsets_arr = np.asarray(offsets, dtype=np.int64)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    _validate_requests(
-        times_arr, offsets_arr, sizes_arr, page_size, intra_request_gap_s
-    )
-    first_page, pages_per_request, starts = _request_plan(
-        offsets_arr, sizes_arr, page_size
-    )
-
-    total = int(pages_per_request.sum())
-    request_index = np.repeat(np.arange(times_arr.size), pages_per_request)
-    within = np.arange(total) - starts[request_index]
-
-    pages = first_page[request_index] + within
-    access_times = times_arr[request_index] + within * intra_request_gap_s
-
-    order = np.argsort(access_times, kind="stable")
-    return Trace(
-        times=access_times[order],
-        pages=pages[order],
-        page_size=page_size,
-        files=request_index[order],
-        meta={
-            "source": "block-trace",
-            "requests": int(times_arr.size),
-            "page_size": page_size,
-        },
-    )
+    """:func:`from_requests_chunked` as one :class:`Trace`."""
+    return from_requests_chunked(
+        times, offsets, sizes, page_size, intra_request_gap_s
+    ).materialize()
 
 
 def _read_request_csv(
@@ -144,142 +142,30 @@ def _read_request_csv(
     )
 
 
+def load_block_csv_chunked(
+    path: PathLike,
+    page_size: int = PAGE_SIZE,
+    intra_request_gap_s: float = 0.0003,
+) -> ChunkedTrace:
+    """Read a ``time,offset,size`` CSV as a bounded-memory chunk stream.
+
+    The requests are stably sorted by time, then expanded by
+    :func:`from_requests_chunked`; memory holds the parsed columns, one
+    chunk and the carryover of still-open requests.
+    """
+    return from_requests_chunked(
+        *_read_request_csv(path),
+        page_size=page_size,
+        intra_request_gap_s=intra_request_gap_s,
+    )
+
+
 def load_block_csv(
     path: PathLike,
     page_size: int = PAGE_SIZE,
     intra_request_gap_s: float = 0.0003,
 ) -> Trace:
     """Read a ``time,offset,size`` CSV and expand it to page accesses."""
-    times_arr, offsets_arr, sizes_arr = _read_request_csv(path)
-    return from_requests(
-        times_arr,
-        offsets_arr,
-        sizes_arr,
-        page_size=page_size,
-        intra_request_gap_s=intra_request_gap_s,
-    )
-
-
-def load_block_csv_chunked(
-    path: PathLike,
-    page_size: int = PAGE_SIZE,
-    intra_request_gap_s: float = 0.0003,
-    chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-) -> ChunkedTrace:
-    """Bounded-memory twin of :func:`load_block_csv`, bit-identical.
-
-    Holds the O(requests) plan (the parsed CSV columns and per-request
-    page counts) but never the full page expansion: requests expand in
-    blocks of roughly ``chunk_accesses`` pages, and expanded accesses
-    wait in a carryover buffer until the next unexpanded request's
-    arrival time proves that no later access can stable-sort before them
-    (request times are sorted and the intra-request gap is non-negative,
-    so every future access lands at or after that arrival; on exact ties
-    the future access's larger expansion index loses the stable sort).
-    Concatenating the chunks therefore reproduces the materialized
-    loader's ``argsort(times, kind="stable")`` order -- and every value
-    in it -- exactly.  A single request larger than ``chunk_accesses``
-    is still expanded whole, so memory is bounded by
-    ``max(chunk_accesses, largest request)`` accesses.
-    """
-    if chunk_accesses <= 0:
-        raise TraceError("chunk size must be positive")
-    times_arr, offsets_arr, sizes_arr = _read_request_csv(path)
-    _validate_requests(
-        times_arr, offsets_arr, sizes_arr, page_size, intra_request_gap_s
-    )
-    first_page, pages_per_request, starts = _request_plan(
-        offsets_arr, sizes_arr, page_size
-    )
-    num_requests = int(times_arr.size)
-    total = int(pages_per_request.sum())
-    cumulative = np.cumsum(pages_per_request)
-    # The last access of each request is its latest; the global maximum
-    # is computed with the same float ops the materialized expansion
-    # uses (int64 "within" times the gap, added to the request time).
-    duration = float(
-        np.max(times_arr + (pages_per_request - 1) * intra_request_gap_s)
-    )
-
-    def factory() -> Iterator[TraceChunk]:
-        # Carryover buffer, kept stable-sorted by time.  All buffered
-        # expansion indices precede all future ones, so stably sorting
-        # (buffer + new block) preserves the global tie-break order.
-        buf_times = np.empty(0, dtype=times_arr.dtype)
-        buf_pages = np.empty(0, dtype=np.int64)
-        buf_files = np.empty(0, dtype=np.int64)
-        ready_times: List[np.ndarray] = []
-        ready_pages: List[np.ndarray] = []
-        ready_files: List[np.ndarray] = []
-        ready_count = 0
-        lo = 0
-        while lo < num_requests:
-            done = cumulative[lo - 1] if lo else 0
-            hi = int(
-                np.searchsorted(cumulative, done + chunk_accesses, "left")
-            ) + 1
-            hi = min(max(hi, lo + 1), num_requests)
-            counts = pages_per_request[lo:hi]
-            block_total = int(counts.sum())
-            request_index = np.repeat(np.arange(lo, hi), counts)
-            within = (
-                np.arange(block_total) + int(starts[lo])
-            ) - starts[request_index]
-            block_times = (
-                times_arr[request_index] + within * intra_request_gap_s
-            )
-            block_pages = first_page[request_index] + within
-
-            merged_times = np.concatenate([buf_times, block_times])
-            merged_pages = np.concatenate([buf_pages, block_pages])
-            merged_files = np.concatenate([buf_files, request_index])
-            order = np.argsort(merged_times, kind="stable")
-            merged_times = merged_times[order]
-            merged_pages = merged_pages[order]
-            merged_files = merged_files[order]
-            if hi < num_requests:
-                cutoff = float(times_arr[hi])
-                emit = int(np.searchsorted(merged_times, cutoff, "right"))
-            else:
-                emit = merged_times.size
-            ready_times.append(merged_times[:emit])
-            ready_pages.append(merged_pages[:emit])
-            ready_files.append(merged_files[:emit])
-            ready_count += emit
-            buf_times = merged_times[emit:]
-            buf_pages = merged_pages[emit:]
-            buf_files = merged_files[emit:]
-
-            while ready_count >= chunk_accesses:
-                times_cat = np.concatenate(ready_times)
-                pages_cat = np.concatenate(ready_pages)
-                files_cat = np.concatenate(ready_files)
-                yield TraceChunk(
-                    times=times_cat[:chunk_accesses],
-                    pages=pages_cat[:chunk_accesses],
-                    files=files_cat[:chunk_accesses],
-                )
-                ready_times = [times_cat[chunk_accesses:]]
-                ready_pages = [pages_cat[chunk_accesses:]]
-                ready_files = [files_cat[chunk_accesses:]]
-                ready_count -= chunk_accesses
-            lo = hi
-        if ready_count:
-            yield TraceChunk(
-                times=np.concatenate(ready_times),
-                pages=np.concatenate(ready_pages),
-                files=np.concatenate(ready_files),
-            )
-
-    return ChunkedTrace(
-        factory=factory,
-        page_size=page_size,
-        num_accesses=total,
-        duration_s=duration,
-        has_writes=False,
-        meta={
-            "source": "block-trace",
-            "requests": num_requests,
-            "page_size": page_size,
-        },
-    )
+    return load_block_csv_chunked(
+        path, page_size, intra_request_gap_s
+    ).materialize()

@@ -22,7 +22,7 @@ from repro.units import GB, MB
 
 
 @dataclass(frozen=True)
-class TraceProfile:
+class TraceStats:
     """Measured characteristics of one trace."""
 
     num_accesses: int
@@ -67,7 +67,7 @@ def characterize(
     trace: Trace,
     cache_sizes_bytes: List[int] | None = None,
     rate_windows: int = 10,
-) -> TraceProfile:
+) -> TraceStats:
     """Measure a trace's workload characteristics in one pass."""
     if trace.num_accesses == 0:
         raise TraceError("cannot characterise an empty trace")
@@ -94,7 +94,7 @@ def characterize(
     window = duration / rate_windows
     rate_profile = (counts * trace.page_size / window).tolist()
 
-    return TraceProfile(
+    return TraceStats(
         num_accesses=trace.num_accesses,
         duration_s=trace.duration_s,
         data_rate_bytes_s=trace.data_rate,

@@ -1,37 +1,41 @@
-"""Chunked traces: paper-scale access streams without paper-scale RAM.
+"""Chunked traces: every trace source, delivered as bounded batches.
 
 A full-resolution (``--scale 1``) workload easily reaches 10^7 accesses;
 materializing the expanded per-access arrays costs hundreds of MB before
-a single access is replayed.  A :class:`ChunkedTrace` delivers the same
-stream as a sequence of bounded :class:`TraceChunk` batches instead --
-the generators keep only their O(requests) plan plus one chunk of
-expansion in memory, and replay drives the chunks straight through
-:class:`~repro.service.streaming.StreamingManager` (see
-:func:`repro.sim.runner.run_chunked`), inheriting the streaming layer's
-bit-exactness contract with the offline engine.
+a single access is replayed.  Every generator, loader and transform in
+:mod:`repro.traces` is therefore written once, as a :class:`ChunkedTrace`
+whose factory yields the stream as :class:`TraceChunk` batches of at
+most ``chunk_accesses`` accesses.  The consumer picks the chunk size:
+:meth:`ChunkedTrace.chunks` (and :func:`repro.sim.runner.run_chunked`,
+which drives the chunks through
+:class:`~repro.service.streaming.StreamingManager`) takes it, and
+:meth:`ChunkedTrace.materialize` asks for a single chunk and wraps it in
+a :class:`~repro.traces.trace.Trace`.  The ``Trace``-returning builders
+(``generate_trace``, ``from_requests``, ``load_csv``, ``modulate_rate``,
+``suites.build``, ...) are that one call.
 
-Equivalence contract (enforced by ``tests/traces/test_chunked.py``):
-for any chunk size, concatenating a source's chunks yields arrays
-**identical** to the materialized builder with the same seed -- same
-RNG draws, same stable sort order, same dtypes.  The chunked SPECWeb
-generator achieves this by drawing its request-level plan up front
-(arrival times, file choices, write flags -- exactly the draws
-:meth:`SpecWebGenerator.generate` makes, in the same order) and then
-expanding requests block by block: expanded accesses wait in a carryover
-buffer until the next unexpanded request's arrival time proves no later
-access can sort before them, so the emitted prefix reproduces the
-materialized ``argsort(times, kind="stable")`` order exactly.
+Contract (``tests/traces/test_chunked.py``): a source's output does not
+depend on the chunk size -- concatenating its chunks yields the same
+arrays, bit for bit, whatever size was asked for.  The request-based
+sources (the SPECWeb generator and the block-trace importer) get this
+from :func:`expand_requests`, the one place requests become page
+accesses.  :meth:`ChunkedTrace.chunks` is also the input boundary of the
+chunked pipeline: every chunk is checked like a ``Trace`` is, and
+chunks must follow each other in time.  Transforms read their source
+through its ``factory``, so a stream is checked once, by the consumer's
+``chunks()`` call or, for :meth:`ChunkedTrace.materialize`, by ``Trace``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, validate_accesses
 from repro.units import PAGE_SIZE
 
 #: Default accesses per chunk: ~16 MB of (times + pages) per chunk.
@@ -59,49 +63,70 @@ class TraceChunk:
 class ChunkedTrace:
     """A trace delivered as bounded chunks instead of full arrays.
 
-    ``factory`` builds a fresh chunk iterator each call, so a chunked
-    trace can be replayed (or materialized for testing) repeatedly.
-    ``num_accesses`` and ``duration_s`` are the *final* stream totals,
-    known up front by the generators (``None`` for sources that cannot
-    know without a pass, e.g. streaming CSV).
+    ``factory(chunk_accesses)`` builds a fresh iterator over chunks of at
+    most ``chunk_accesses`` accesses each call, so a chunked trace can be
+    replayed (or materialized) repeatedly.  ``num_accesses`` and
+    ``duration_s`` are the *final* stream totals, known up front by the
+    generators (``None`` for sources that cannot know without a pass,
+    e.g. streaming CSV).
     """
 
-    factory: Callable[[], Iterator[TraceChunk]]
+    factory: Callable[[int], Iterator[TraceChunk]]
     page_size: int = PAGE_SIZE
     num_accesses: Optional[int] = None
     duration_s: Optional[float] = None
     has_writes: bool = False
     meta: Dict[str, object] = field(default_factory=dict)
 
-    def chunks(self) -> Iterator[TraceChunk]:
-        """A fresh iterator over the stream's chunks."""
-        return self.factory()
+    def chunks(
+        self, chunk_accesses: int = DEFAULT_CHUNK_ACCESSES
+    ) -> Iterator[TraceChunk]:
+        """A fresh iterator over the stream, ``chunk_accesses`` at a time.
+
+        Raises :class:`TraceError` on the first chunk that is not a
+        well-formed access batch (see
+        :func:`~repro.traces.trace.validate_accesses`) or that starts
+        before the previous chunk ended.
+        """
+        if chunk_accesses <= 0:
+            raise TraceError("chunk size must be positive")
+        last = 0.0
+        for chunk in self.factory(chunk_accesses):
+            validate_accesses(chunk.times, chunk.pages, chunk.writes, TraceError)
+            if chunk.times.size:
+                if chunk.times[0] < last:
+                    raise TraceError(
+                        "access times must be non-decreasing across chunks"
+                    )
+                last = chunk.times[-1]
+            yield chunk
 
     def materialize(self) -> Trace:
-        """Concatenate every chunk into a full :class:`Trace`.
+        """The whole stream as one :class:`Trace`.
 
-        For tests and small streams only -- this holds the whole trace,
-        defeating the point of chunking.
+        Asks the source for a single chunk, whose arrays become the
+        trace's without a copy.  ``Trace`` runs the same checks
+        :meth:`chunks` runs, over the whole stream.
         """
-        times, pages, files, writes = [], [], [], []
-        has_files = True
-        for chunk in self.chunks():
-            times.append(chunk.times)
-            pages.append(chunk.pages)
-            if chunk.files is None:
-                has_files = False
-            else:
-                files.append(chunk.files)
-            if chunk.writes is not None:
-                writes.append(chunk.writes)
-        if not times:
+        parts = list(self.factory(sys.maxsize))
+        if not parts:
             raise TraceError("chunked trace produced no chunks")
+        whole = parts[0]
+        if len(parts) > 1:
+            whole = TraceChunk(
+                *(
+                    None
+                    if any(getattr(p, name) is None for p in parts)
+                    else np.concatenate([getattr(p, name) for p in parts])
+                    for name in ("times", "pages", "files", "writes")
+                )
+            )
         return Trace(
-            times=np.concatenate(times),
-            pages=np.concatenate(pages),
+            times=whole.times,
+            pages=whole.pages,
             page_size=self.page_size,
-            files=np.concatenate(files) if has_files and files else None,
-            writes=np.concatenate(writes) if writes else None,
+            files=whole.files,
+            writes=whole.writes,
             meta=dict(self.meta),
         )
 
@@ -119,15 +144,11 @@ class ChunkedTrace:
         )
 
 
-def chunk_trace(
-    trace: Trace, chunk_accesses: int = DEFAULT_CHUNK_ACCESSES
-) -> ChunkedTrace:
+def chunk_trace(trace: Trace) -> ChunkedTrace:
     """View an already-materialized trace as chunks (no copies)."""
-    if chunk_accesses <= 0:
-        raise TraceError("chunk size must be positive")
     n = trace.num_accesses
 
-    def factory() -> Iterator[TraceChunk]:
+    def factory(chunk_accesses: int) -> Iterator[TraceChunk]:
         for lo in range(0, max(n, 1), chunk_accesses):
             hi = min(lo + chunk_accesses, n)
             yield TraceChunk(
@@ -147,64 +168,88 @@ def chunk_trace(
     )
 
 
-def modulate_rate_chunked(
-    source: ChunkedTrace,
-    profile: Callable[[float], float],
-    steps: int = 2048,
+def expand_requests(
+    arrivals: np.ndarray,
+    first_page: np.ndarray,
+    pages_per_request: np.ndarray,
+    gap_s: float,
+    labels: np.ndarray,
+    writes: Optional[np.ndarray],
+    page_size: int,
+    meta: Dict[str, object],
 ) -> ChunkedTrace:
-    """Chunked twin of :func:`repro.traces.modulation.modulate_rate`.
+    """Requests expanded into page accesses, in stable time order.
 
-    The warp of access ``k`` depends only on its order statistic
-    ``(k + 0.5) / n`` and the profile's cumulative integral, so it
-    applies chunk by chunk given the stream totals.  Bit-identical to
-    modulating the materialized trace (same grid, same ``np.interp``
-    calls); write flags are dropped, exactly as the materialized
-    transform drops them.
+    Request ``i`` arrives at ``arrivals[i]`` and reads pages
+    ``first_page[i] .. first_page[i] + pages_per_request[i] - 1``, one
+    every ``gap_s`` seconds.  Its accesses carry ``labels[i]`` as their
+    file and ``writes[i]`` (if given) as their write flag.  The stream is
+    every access of every request, in the order
+    ``argsort(times, kind="stable")`` gives the accesses listed request
+    by request -- the order holds for any chunk size and any request
+    order.
+
+    Requests expand in blocks of about one chunk.  Expanded accesses wait
+    in a carryover, stably sorted by time, until the earliest arrival
+    among the requests not yet expanded proves that nothing can still
+    sort before them: every later access lands at or past that arrival,
+    and on a tie it loses the stable sort, having been expanded later.
+    Only the carryover, one block and the O(requests) plan (arrivals,
+    first pages, labels, write flags and cumulative page counts) are
+    held.
     """
-    n = source.num_accesses
-    duration = source.duration_s
-    if n is None or duration is None:
-        raise TraceError("chunked modulation needs known stream totals")
-    if n == 0:
-        raise TraceError("cannot modulate an empty trace")
-    if steps < 2:
-        raise TraceError("need at least two integration steps")
-    if duration <= 0:
-        raise TraceError("trace has no extent to modulate")
+    cum = np.concatenate(([0], np.cumsum(pages_per_request)))
+    total = int(cum[-1])
+    n_req = int(arrivals.size)
+    # earliest[i]: the first moment any access of requests i.. can land.
+    earliest = np.minimum.accumulate(arrivals[::-1])[::-1]
+    tags = [labels] + ([] if writes is None else [writes])
 
-    grid = np.linspace(0.0, duration, steps)
-    rates = np.asarray([profile(t) for t in grid], dtype=float)
-    if np.any(rates < 0) or not np.all(np.isfinite(rates)):
-        raise TraceError("rate profile must be finite and non-negative")
-    if rates.max() <= 0:
-        raise TraceError("rate profile is identically zero")
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum((rates[1:] + rates[:-1]) / 2))
-    )
-    cumulative /= cumulative[-1]
-    # The warped stream ends where its last access lands (np.interp is
-    # elementwise, so this is bit-identical to the materialized twin's
-    # final timestamp).
-    last_position = np.asarray([(n - 0.5) / n])
-    warped_end = float(np.interp(last_position, cumulative, grid)[0])
-
-    def factory() -> Iterator[TraceChunk]:
-        offset = 0
-        for chunk in source.chunks():
-            count = len(chunk)
-            positions = (np.arange(offset, offset + count) + 0.5) / n
-            yield TraceChunk(
-                times=np.interp(positions, cumulative, grid),
-                pages=chunk.pages,
-                files=chunk.files,
-            )
-            offset += count
+    def factory(chunk_accesses: int) -> Iterator[TraceChunk]:
+        # Clamped so cum[req] + chunk cannot overflow int64.
+        chunk = min(chunk_accesses, max(total, 1))
+        pending = []  # [times, pages, labels(, writes)], time-sorted
+        ready = 0  # leading pending accesses that are final
+        req = 0
+        while req < n_req:
+            # Enough to fill the chunk, plus as many again as the
+            # carryover holds: about that many will still be open after.
+            held = pending[0].size if pending else 0
+            want = chunk + held - 2 * ready
+            end = int(np.searchsorted(cum, cum[req] + want, side="right")) - 1
+            end = min(max(end, req + 1), n_req)
+            local = np.repeat(np.arange(end - req), np.diff(cum[req : end + 1]))
+            offsets = np.arange(local.size) - (cum[req:end] - cum[req])[local]
+            block = [
+                arrivals[req:end][local] + offsets * gap_s,
+                first_page[req:end][local] + offsets,
+            ] + [column[req:end][local] for column in tags]
+            if pending:
+                block = [np.concatenate(pair) for pair in zip(pending, block)]
+            order = np.argsort(block[0], kind="stable")
+            pending = [column[order] for column in block]
+            req = end
+            final = pending[0].size
+            if req < n_req:
+                final = int(
+                    np.searchsorted(pending[0], earliest[req], side="right")
+                )
+            emit = final if req == n_req else final - final % chunk
+            for lo in range(0, emit, chunk):
+                hi = min(lo + chunk, emit)
+                yield TraceChunk(*(column[lo:hi] for column in pending))
+            pending = [column[emit:] for column in pending]
+            ready = final - emit
 
     return ChunkedTrace(
         factory=factory,
-        page_size=source.page_size,
-        num_accesses=n,
-        duration_s=warped_end,
-        has_writes=False,
-        meta={**source.meta, "modulated": True},
+        page_size=page_size,
+        num_accesses=total,
+        # A request's last access is its latest (same float ops as the
+        # expansion, so this equals the stream's final timestamp).
+        duration_s=float(
+            (arrivals + (pages_per_request - 1) * gap_s).max()
+        ),
+        has_writes=writes is not None and bool(writes.any()),
+        meta=meta,
     )

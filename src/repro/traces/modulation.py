@@ -16,11 +16,12 @@ total duration.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import TraceError
+from repro.traces.chunked import ChunkedTrace, TraceChunk, chunk_trace
 from repro.traces.trace import Trace
 
 RateProfile = Callable[[float], float]
@@ -32,17 +33,31 @@ def modulate_rate(trace: Trace, profile: RateProfile, steps: int = 2048) -> Trac
     ``profile(t)`` is a positive relative rate for ``t`` in the original
     ``[0, duration]``; the warped trace covers the same duration and
     contains the same accesses in the same order, but their density at
-    (warped) time ``t`` is proportional to ``profile`` there.
-
-    Implementation: accesses are redistributed by the inverse of the
-    profile's normalised cumulative integral, evaluated on a ``steps``
-    point grid.
+    (warped) time ``t`` is proportional to ``profile`` there.  Write
+    flags are dropped.
     """
-    if trace.num_accesses == 0:
+    return modulate_rate_chunked(chunk_trace(trace), profile, steps).materialize()
+
+
+def modulate_rate_chunked(
+    source: ChunkedTrace, profile: RateProfile, steps: int = 2048
+) -> ChunkedTrace:
+    """:func:`modulate_rate` of a chunked stream, applied chunk by chunk.
+
+    Accesses are redistributed by the inverse of the profile's
+    normalised cumulative integral, evaluated on a ``steps`` point grid.
+    The warp of access ``k`` depends only on its order statistic
+    ``(k + 0.5) / n``, so it needs the stream totals up front but no
+    other chunk.
+    """
+    n = source.num_accesses
+    duration = source.duration_s
+    if n is None or duration is None:
+        raise TraceError("chunked modulation needs known stream totals")
+    if n == 0:
         raise TraceError("cannot modulate an empty trace")
     if steps < 2:
         raise TraceError("need at least two integration steps")
-    duration = trace.duration_s
     if duration <= 0:
         raise TraceError("trace has no extent to modulate")
 
@@ -56,18 +71,29 @@ def modulate_rate(trace: Trace, profile: RateProfile, steps: int = 2048) -> Trac
     # Cumulative fraction of accesses that should have happened by grid[i].
     cumulative = np.concatenate(([0.0], np.cumsum((rates[1:] + rates[:-1]) / 2)))
     cumulative /= cumulative[-1]
+    # The warped stream ends where its last access lands (np.interp is
+    # elementwise, so this is the final timestamp bit for bit).
+    warped_end = float(np.interp([(n - 0.5) / n], cumulative, grid)[0])
 
-    # Each access keeps its *order statistic*: the k-th access of the
-    # warped trace lands where the cumulative profile reaches k/n.
-    positions = (np.arange(trace.num_accesses) + 0.5) / trace.num_accesses
-    warped = np.interp(positions, cumulative, grid)
+    def factory(chunk_accesses: int) -> Iterator[TraceChunk]:
+        # Each access keeps its *order statistic*: the k-th access of the
+        # warped stream lands where the cumulative profile reaches k/n.
+        offset = 0
+        for chunk in source.factory(chunk_accesses):
+            positions = (np.arange(offset, offset + len(chunk)) + 0.5) / n
+            yield TraceChunk(
+                times=np.interp(positions, cumulative, grid),
+                pages=chunk.pages,
+                files=chunk.files,
+            )
+            offset += len(chunk)
 
-    return Trace(
-        times=warped,
-        pages=trace.pages,
-        page_size=trace.page_size,
-        files=trace.files,
-        meta={**trace.meta, "modulated": True},
+    return ChunkedTrace(
+        factory=factory,
+        page_size=source.page_size,
+        num_accesses=n,
+        duration_s=warped_end,
+        meta={**source.meta, "modulated": True},
     )
 
 

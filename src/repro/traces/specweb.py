@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import TraceError
+from repro.traces.chunked import ChunkedTrace, expand_requests
 from repro.traces.fileset import FileSet, specweb_fileset
 from repro.traces.trace import Trace
 from repro.traces.zipf import ZipfSampler, calibrate_exponent
@@ -68,11 +69,9 @@ class SpecWebGenerator:
     def _plan(self, duration_s: float):
         """The request-level plan: every RNG draw, before any expansion.
 
-        Returns ``(arrivals, file_ids, request_is_write, exponent)``.
-        Both :meth:`generate` and :meth:`generate_chunked` start from
-        this exact draw sequence, which is what makes them bit-identical
-        for the same seed: arrivals first, then file choices, then write
-        flags, all at request granularity (O(requests) memory).
+        Returns ``(arrivals, file_ids, request_is_write, exponent)``:
+        arrivals first, then file choices, then write flags, all at
+        request granularity (O(requests) memory).
         """
         if duration_s <= 0:
             raise TraceError("duration must be positive")
@@ -127,159 +126,92 @@ class SpecWebGenerator:
 
     def generate(self, duration_s: float) -> Trace:
         """Generate a trace covering ``[0, duration_s)``."""
-        arrivals, file_ids, request_is_write, exponent = self._plan(duration_s)
-        fs = self.fileset
+        return self.generate_chunked(duration_s).materialize()
 
-        # Expand each request into its file's sequential page accesses.
-        pages_per_req = fs.num_pages[file_ids]
-        total_accesses = int(pages_per_req.sum())
-        req_index = np.repeat(np.arange(arrivals.size), pages_per_req)
-        # Offset of each access within its request: 0, 1, 2, ...
-        starts = np.concatenate(([0], np.cumsum(pages_per_req)[:-1]))
-        offsets = np.arange(total_accesses) - starts[req_index]
+    def generate_chunked(self, duration_s: float) -> ChunkedTrace:
+        """The trace of :meth:`generate` as a bounded-memory chunk stream.
 
-        pages = fs.first_page[file_ids][req_index] + offsets
-        page_gap = fs.page_size / self.connection_rate
-        times = arrivals[req_index] + offsets * page_gap
-        files = file_ids[req_index]
-        writes = None
-        if request_is_write is not None:
-            writes = request_is_write[req_index]
-
-        # Interleaved connections make the merged stream non-monotonic;
-        # the disk cache sees accesses in arrival order.
-        order = np.argsort(times, kind="stable")
-        return Trace(
-            times=times[order],
-            pages=pages[order],
-            page_size=fs.page_size,
-            files=files[order],
-            writes=None if writes is None else writes[order],
-            meta=self._meta(duration_s, exponent),
-        )
-
-    def generate_chunked(
-        self, duration_s: float, chunk_accesses: Optional[int] = None
-    ):
-        """Chunked twin of :meth:`generate`: same stream, bounded memory.
-
-        Concatenating the chunks is bit-identical to :meth:`generate`
-        with the same seed.  Requests are expanded block by block; an
-        expanded access is emitted only once the next *unexpanded*
-        request's arrival time proves nothing can still sort before it
-        (intra-file offsets are non-negative, so every future access is
-        at or past that arrival, and ties resolve to the earlier
-        expansion index exactly as the materialized stable sort does).
-        Peak memory is O(requests + chunk + carryover), where carryover
-        is the accesses of still-open connections.
+        Each request reads its file's pages sequentially, spaced by the
+        per-connection service rate; interleaved connections make the
+        merged stream non-monotonic, and the disk cache sees the accesses
+        in arrival order (:func:`~repro.traces.chunked.expand_requests`).
+        Only the O(requests) plan is drawn up front.
         """
-        from repro.traces.chunked import (
-            DEFAULT_CHUNK_ACCESSES,
-            ChunkedTrace,
-            TraceChunk,
-        )
-
-        chunk = DEFAULT_CHUNK_ACCESSES if chunk_accesses is None else chunk_accesses
-        if chunk <= 0:
-            raise TraceError("chunk size must be positive")
         arrivals, file_ids, request_is_write, exponent = self._plan(duration_s)
         fs = self.fileset
-        pages_per_req = fs.num_pages[file_ids]
-        # cum[i] = accesses expanded by requests before i (global indices).
-        cum = np.concatenate(([0], np.cumsum(pages_per_req)))
-        total_accesses = int(cum[-1])
-        page_gap = fs.page_size / self.connection_rate
-        last_time = float(
-            (arrivals + (pages_per_req - 1) * page_gap).max()
-        )
-        n_req = int(arrivals.size)
-        has_writes = request_is_write is not None and bool(
-            request_is_write.any()
-        )
-
-        def factory():
-            empty_w = (
-                np.empty(0, dtype=bool) if request_is_write is not None else None
-            )
-            pend_t = np.empty(0, dtype=np.float64)
-            pend_p = np.empty(0, dtype=np.int64)
-            pend_f = np.empty(0, dtype=np.int64)
-            pend_w = empty_w
-            pend_i = np.empty(0, dtype=np.int64)
-            req = 0
-            while req < n_req:
-                # Expand a block of requests totalling ~one chunk.
-                end = (
-                    int(np.searchsorted(cum, cum[req] + chunk, side="right"))
-                    - 1
-                )
-                end = min(max(end, req + 1), n_req)
-                ids = file_ids[req:end]
-                ppr = pages_per_req[req:end]
-                block_n = int(cum[end] - cum[req])
-                req_local = np.repeat(np.arange(end - req), ppr)
-                starts = np.concatenate(([0], np.cumsum(ppr)[:-1]))
-                offsets = np.arange(block_n) - starts[req_local]
-                pend_t = np.concatenate(
-                    (pend_t, arrivals[req:end][req_local] + offsets * page_gap)
-                )
-                pend_p = np.concatenate(
-                    (pend_p, fs.first_page[ids][req_local] + offsets)
-                )
-                pend_f = np.concatenate((pend_f, ids[req_local]))
-                if pend_w is not None:
-                    pend_w = np.concatenate(
-                        (pend_w, request_is_write[req:end][req_local])
-                    )
-                pend_i = np.concatenate(
-                    (pend_i, int(cum[req]) + np.arange(block_n))
-                )
-                req = end
-
-                # Stable-sort the carryover by time (expansion index
-                # breaks ties, matching argsort(times, kind="stable")).
-                order = np.lexsort((pend_i, pend_t))
-                pend_t = pend_t[order]
-                pend_p = pend_p[order]
-                pend_f = pend_f[order]
-                if pend_w is not None:
-                    pend_w = pend_w[order]
-                pend_i = pend_i[order]
-
-                # Everything at or before the next unexpanded arrival is
-                # final: future accesses arrive at or past it with larger
-                # expansion indices, so they sort strictly after.
-                if req < n_req:
-                    safe = int(
-                        np.searchsorted(
-                            pend_t, float(arrivals[req]), side="right"
-                        )
-                    )
-                else:
-                    safe = int(pend_t.size)
-                for lo in range(0, safe, chunk):
-                    hi = min(lo + chunk, safe)
-                    yield TraceChunk(
-                        times=pend_t[lo:hi],
-                        pages=pend_p[lo:hi],
-                        files=pend_f[lo:hi],
-                        writes=None if pend_w is None else pend_w[lo:hi],
-                    )
-                pend_t = pend_t[safe:]
-                pend_p = pend_p[safe:]
-                pend_f = pend_f[safe:]
-                if pend_w is not None:
-                    pend_w = pend_w[safe:]
-                pend_i = pend_i[safe:]
-
-        return ChunkedTrace(
-            factory=factory,
+        return expand_requests(
+            arrivals,
+            fs.first_page[file_ids],
+            fs.num_pages[file_ids],
+            fs.page_size / self.connection_rate,
+            labels=file_ids,
+            writes=request_is_write,
             page_size=fs.page_size,
-            num_accesses=total_accesses,
-            duration_s=last_time,
-            has_writes=has_writes,
             meta=self._meta(duration_s, exponent),
         )
+
+
+def specweb_generator(
+    dataset_bytes: float,
+    data_rate: float,
+    popularity: float = 0.10,
+    page_size: int = PAGE_SIZE,
+    seed: Optional[int] = None,
+    file_scale: float = 1.0,
+    **options,
+) -> SpecWebGenerator:
+    """A SPECWeb99-class file set and its generator, from the paper's knobs.
+
+    ``seed`` draws the file set and ``seed + 1`` the requests.  For a
+    granularity-scaled machine pass ``file_scale=machine.scale`` so file
+    sizes keep the paper's ratio to the page size.  ``options`` are
+    further :class:`SpecWebGenerator` fields (``write_fraction``,
+    ``arrival_process``, ``burst_bias``).
+    """
+    rng = np.random.default_rng(seed)
+    fileset = specweb_fileset(
+        dataset_bytes, page_size=page_size, rng=rng, file_scale=file_scale
+    )
+    return SpecWebGenerator(
+        fileset=fileset,
+        data_rate=data_rate,
+        popularity=popularity,
+        # Keep the intra-file page spacing at the paper's time scale: the
+        # per-connection rate grows with the granularity factor so a file
+        # read occupies the same wall-clock window at every scale.
+        connection_rate=12.5 * MB * file_scale,
+        seed=None if seed is None else seed + 1,
+        **options,
+    )
+
+
+def generate_trace_chunked(
+    dataset_bytes: float,
+    data_rate: float,
+    duration_s: float,
+    popularity: float = 0.10,
+    page_size: int = PAGE_SIZE,
+    seed: Optional[int] = None,
+    file_scale: float = 1.0,
+    write_fraction: float = 0.0,
+) -> ChunkedTrace:
+    """One-call helper: build a file set and generate a chunked trace.
+
+    Parameters mirror the paper's three workload characteristics plus
+    duration (see :func:`specweb_generator`).  This is the entry point
+    for full-resolution (``--scale 1``) runs whose expanded arrays would
+    not fit comfortably in memory.
+    """
+    generator = specweb_generator(
+        dataset_bytes,
+        data_rate,
+        popularity,
+        page_size,
+        seed,
+        file_scale,
+        write_fraction=write_fraction,
+    )
+    return generator.generate_chunked(duration_s)
 
 
 def generate_trace(
@@ -292,60 +224,17 @@ def generate_trace(
     file_scale: float = 1.0,
     write_fraction: float = 0.0,
 ) -> Trace:
-    """One-call helper: build a file set and generate a trace.
+    """:func:`generate_trace_chunked` as one :class:`Trace`.
 
-    This is the entry point the experiments use; parameters mirror the
-    paper's three workload characteristics plus duration.  For a
-    granularity-scaled machine pass ``file_scale=machine.scale`` so file
-    sizes keep the paper's ratio to the page size.
+    This is the entry point the experiments use.
     """
-    rng = np.random.default_rng(seed)
-    fileset = specweb_fileset(
-        dataset_bytes, page_size=page_size, rng=rng, file_scale=file_scale
-    )
-    generator = SpecWebGenerator(
-        fileset=fileset,
-        data_rate=data_rate,
-        popularity=popularity,
-        # Keep the intra-file page spacing at the paper's time scale: the
-        # per-connection rate grows with the granularity factor so a file
-        # read occupies the same wall-clock window at every scale.
-        connection_rate=12.5 * MB * file_scale,
-        write_fraction=write_fraction,
-        seed=None if seed is None else seed + 1,
-    )
-    return generator.generate(duration_s)
-
-
-def generate_trace_chunked(
-    dataset_bytes: float,
-    data_rate: float,
-    duration_s: float,
-    popularity: float = 0.10,
-    page_size: int = PAGE_SIZE,
-    seed: Optional[int] = None,
-    file_scale: float = 1.0,
-    write_fraction: float = 0.0,
-    chunk_accesses: Optional[int] = None,
-):
-    """Chunked twin of :func:`generate_trace`: same stream, bounded RAM.
-
-    Same seed derivation and file-set construction as the materialized
-    helper, so ``generate_trace_chunked(...).materialize()`` equals
-    ``generate_trace(...)`` bit for bit.  This is the entry point for
-    full-resolution (``--scale 1``) runs whose expanded arrays would not
-    fit comfortably in memory.
-    """
-    rng = np.random.default_rng(seed)
-    fileset = specweb_fileset(
-        dataset_bytes, page_size=page_size, rng=rng, file_scale=file_scale
-    )
-    generator = SpecWebGenerator(
-        fileset=fileset,
-        data_rate=data_rate,
-        popularity=popularity,
-        connection_rate=12.5 * MB * file_scale,
-        write_fraction=write_fraction,
-        seed=None if seed is None else seed + 1,
-    )
-    return generator.generate_chunked(duration_s, chunk_accesses)
+    return generate_trace_chunked(
+        dataset_bytes,
+        data_rate,
+        duration_s,
+        popularity,
+        page_size,
+        seed,
+        file_scale,
+        write_fraction,
+    ).materialize()

@@ -1,9 +1,10 @@
 """Named canonical workloads.
 
 One-liners for the workload situations the paper (and this repository's
-extensions) care about.  Every suite entry is a factory keyed by name;
-``build(name, machine, ...)`` returns a ready trace at the machine's
-granularity.
+extensions) care about.  Every suite entry is a chunked-trace factory
+keyed by name; ``build_chunked(name, machine, ...)`` returns its
+:class:`~repro.traces.chunked.ChunkedTrace` at the machine's granularity
+and ``build(name, machine, ...)`` the materialized trace.
 
 ========================  ====================================================
 name                      situation
@@ -27,94 +28,41 @@ from typing import Callable, Dict, List
 
 from repro.config.machine import MachineConfig
 from repro.errors import TraceError
-from repro.traces.modulation import diurnal_profile, modulate_rate, onoff_profile
-from repro.traces.specweb import generate_trace
+from repro.traces.chunked import ChunkedTrace
+from repro.traces.modulation import (
+    diurnal_profile,
+    modulate_rate_chunked,
+    onoff_profile,
+)
+from repro.traces.specweb import specweb_generator
 from repro.traces.trace import Trace
 from repro.units import GB, MB
 
-Builder = Callable[[MachineConfig, float, int], Trace]
+Builder = Callable[[MachineConfig, float, int], ChunkedTrace]
 
 
-def _specweb(dataset_gb, rate_mb, popularity=0.1, write_fraction=0.0):
-    def build(machine: MachineConfig, duration_s: float, seed: int) -> Trace:
-        return generate_trace(
-            dataset_bytes=dataset_gb * GB,
-            data_rate=rate_mb * MB,
-            duration_s=duration_s,
-            popularity=popularity,
-            page_size=machine.page_bytes,
-            seed=seed,
-            file_scale=machine.scale,
-            write_fraction=write_fraction,
-        )
-
-    def build_chunks(machine, duration_s, seed, chunk_accesses):
-        from repro.traces.specweb import generate_trace_chunked
-
-        return generate_trace_chunked(
-            dataset_bytes=dataset_gb * GB,
-            data_rate=rate_mb * MB,
-            duration_s=duration_s,
-            popularity=popularity,
-            page_size=machine.page_bytes,
-            seed=seed,
-            file_scale=machine.scale,
-            write_fraction=write_fraction,
-            chunk_accesses=chunk_accesses,
-        )
-
-    build.chunked = build_chunks
-    return build
-
-
-def _selfsimilar(dataset_gb, rate_mb, bias=0.75):
-    def _generator(machine: MachineConfig, seed: int):
-        from repro.traces.fileset import specweb_fileset
-        from repro.traces.specweb import SpecWebGenerator
-
-        import numpy as np
-
-        fileset = specweb_fileset(
+def _specweb(dataset_gb, rate_mb, popularity=0.1, **options):
+    def build(machine: MachineConfig, duration_s: float, seed: int):
+        return specweb_generator(
             dataset_gb * GB,
+            rate_mb * MB,
+            popularity,
             page_size=machine.page_bytes,
-            rng=np.random.default_rng(seed),
+            seed=seed,
             file_scale=machine.scale,
-        )
-        return SpecWebGenerator(
-            fileset=fileset,
-            data_rate=rate_mb * MB,
-            connection_rate=12.5 * MB * machine.scale,
-            arrival_process="selfsimilar",
-            burst_bias=bias,
-            seed=seed + 1,
-        )
+            **options,
+        ).generate_chunked(duration_s)
 
-    def build(machine: MachineConfig, duration_s: float, seed: int) -> Trace:
-        return _generator(machine, seed).generate(duration_s)
-
-    def build_chunks(machine, duration_s, seed, chunk_accesses):
-        return _generator(machine, seed).generate_chunked(
-            duration_s, chunk_accesses
-        )
-
-    build.chunked = build_chunks
     return build
 
 
 def _modulated(profile_factory, dataset_gb=16, rate_mb=60):
     base_build = _specweb(dataset_gb, rate_mb)
 
-    def build(machine: MachineConfig, duration_s: float, seed: int) -> Trace:
+    def build(machine: MachineConfig, duration_s: float, seed: int):
         flat = base_build(machine, duration_s, seed)
-        return modulate_rate(flat, profile_factory(duration_s))
-
-    def build_chunks(machine, duration_s, seed, chunk_accesses):
-        from repro.traces.chunked import modulate_rate_chunked
-
-        flat = base_build.chunked(machine, duration_s, seed, chunk_accesses)
         return modulate_rate_chunked(flat, profile_factory(duration_s))
 
-    build.chunked = build_chunks
     return build
 
 
@@ -132,7 +80,7 @@ SUITES: Dict[str, Builder] = {
         lambda duration: onoff_profile(duration, on_fraction=0.4)
     ),
     "write-heavy": _specweb(16, 20, write_fraction=0.2),
-    "self-similar": _selfsimilar(16, 20),
+    "self-similar": _specweb(16, 20, arrival_process="selfsimilar"),
 }
 
 
@@ -147,13 +95,7 @@ def build(
     seed: int = 42,
 ) -> Trace:
     """Build the named workload at the machine's granularity."""
-    key = name.strip().lower()
-    if key not in SUITES:
-        raise TraceError(
-            f"unknown workload suite {name!r}; available: "
-            + ", ".join(suite_names())
-        )
-    return SUITES[key](machine, duration_s, seed).with_meta(suite=key)
+    return build_chunked(name, machine, duration_s, seed).materialize()
 
 
 def build_chunked(
@@ -161,22 +103,12 @@ def build_chunked(
     machine: MachineConfig,
     duration_s: float,
     seed: int = 42,
-    chunk_accesses: int = None,
-):
-    """Chunked twin of :func:`build`: the same workload, bounded memory.
-
-    Every suite builder has a chunked variant whose concatenated chunks
-    are bit-identical to the materialized build with the same seed (the
-    fuzz matrix in ``tests/traces/test_chunked.py`` holds this across
-    all suites and chunk sizes).  Returns a
-    :class:`~repro.traces.chunked.ChunkedTrace`.
-    """
+) -> ChunkedTrace:
+    """The named workload as a bounded-memory chunk stream."""
     key = name.strip().lower()
     if key not in SUITES:
         raise TraceError(
             f"unknown workload suite {name!r}; available: "
             + ", ".join(suite_names())
         )
-    return SUITES[key].chunked(
-        machine, duration_s, seed, chunk_accesses
-    ).with_meta(suite=key)
+    return SUITES[key](machine, duration_s, seed).with_meta(suite=key)

@@ -19,11 +19,12 @@ All transforms are pure: they return a new :class:`~repro.traces.trace.Trace`.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.errors import TraceError
+from repro.traces.chunked import ChunkedTrace, TraceChunk, chunk_trace
 from repro.traces.trace import Trace
 
 
@@ -33,32 +34,16 @@ def scale_data_rate(trace: Trace, factor: float) -> Trace:
     ``factor > 1`` shrinks inter-access intervals (higher rate);
     ``factor < 1`` stretches them.
     """
-    if factor <= 0:
-        raise TraceError("rate factor must be positive")
-    return Trace(
-        times=trace.times / factor,
-        pages=trace.pages,
-        page_size=trace.page_size,
-        files=trace.files,
-        writes=trace.writes,
-        meta={**trace.meta, "rate_scaled_by": factor},
-    ).with_meta()
+    return scale_data_rate_chunked(chunk_trace(trace), factor).materialize()
 
 
-def scale_data_rate_chunked(source, factor: float):
-    """Chunked twin of :func:`scale_data_rate` (elementwise, bit-exact).
-
-    ``source`` is a :class:`~repro.traces.chunked.ChunkedTrace`; the
-    time division applies chunk by chunk, so concatenating the result's
-    chunks equals scaling the materialized trace.
-    """
-    from repro.traces.chunked import ChunkedTrace, TraceChunk
-
+def scale_data_rate_chunked(source: ChunkedTrace, factor: float) -> ChunkedTrace:
+    """:func:`scale_data_rate` of a chunked stream (elementwise per chunk)."""
     if factor <= 0:
         raise TraceError("rate factor must be positive")
 
-    def factory():
-        for chunk in source.chunks():
+    def factory(chunk_accesses: int) -> Iterator[TraceChunk]:
+        for chunk in source.factory(chunk_accesses):
             yield TraceChunk(
                 times=chunk.times / factor,
                 pages=chunk.pages,

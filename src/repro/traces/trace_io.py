@@ -9,11 +9,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 from repro.errors import TraceError
+from repro.traces.chunked import ChunkedTrace, TraceChunk
 from repro.traces.trace import Trace
 
 PathLike = Union[str, Path]
@@ -56,21 +57,6 @@ def load_npz(path: PathLike) -> Trace:
         )
 
 
-def load_npz_chunked(path: PathLike, chunk_accesses: int = None):
-    """A saved trace as a :class:`~repro.traces.chunked.ChunkedTrace`.
-
-    The compressed archive decompresses whole arrays, so this bounds the
-    *replay-side* footprint (kernel temporaries, hit masks), not the
-    load itself; use the chunked generators or :func:`load_csv_chunked`
-    to avoid materializing entirely.
-    """
-    from repro.traces.chunked import DEFAULT_CHUNK_ACCESSES, chunk_trace
-
-    if chunk_accesses is None:
-        chunk_accesses = DEFAULT_CHUNK_ACCESSES
-    return chunk_trace(load_npz(path), chunk_accesses)
-
-
 def save_csv(trace: Trace, path: PathLike) -> None:
     """Write ``time,page[,file]`` rows with a header."""
     path = Path(path)
@@ -86,58 +72,25 @@ def save_csv(trace: Trace, path: PathLike) -> None:
                 writer.writerow([repr(float(t)), int(p)])
 
 
-def load_csv(path: PathLike, page_size: int = 4096) -> Trace:
-    """Read a trace written by :func:`save_csv` (or any compatible CSV)."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
-    times, pages, files = [], [], []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise TraceError(f"empty trace file: {path}")
-        has_files = len(header) >= 3
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            pages.append(int(row[1]))
-            if has_files:
-                files.append(int(row[2]))
-    return Trace(
-        times=np.asarray(times),
-        pages=np.asarray(pages, dtype=np.int64),
-        page_size=page_size,
-        files=np.asarray(files, dtype=np.int64) if files else None,
-        meta={"source": str(path)},
-    )
+def load_csv_chunked(path: PathLike, page_size: int = 4096) -> ChunkedTrace:
+    """Stream a trace written by :func:`save_csv` (or any compatible CSV).
 
-
-def load_csv_chunked(
-    path: PathLike, page_size: int = 4096, chunk_accesses: int = None
-):
-    """Stream a CSV trace as bounded chunks without loading it whole.
-
-    Unlike :func:`load_npz_chunked` this genuinely never materializes
-    the trace: each iteration re-reads the file row by row, holding at
-    most one chunk of parsed arrays.  Stream totals (``num_accesses``,
+    Each iteration re-reads the file row by row, holding at most one
+    chunk of parsed arrays.  Stream totals (``num_accesses``,
     ``duration_s``) are unknown up front and left ``None``.
     """
-    from repro.traces.chunked import (
-        DEFAULT_CHUNK_ACCESSES,
-        ChunkedTrace,
-        TraceChunk,
-    )
-
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    chunk = DEFAULT_CHUNK_ACCESSES if chunk_accesses is None else chunk_accesses
-    if chunk <= 0:
-        raise TraceError("chunk size must be positive")
 
-    def factory():
+    def chunk(times, pages, files) -> TraceChunk:
+        return TraceChunk(
+            times=np.asarray(times),
+            pages=np.asarray(pages, dtype=np.int64),
+            files=np.asarray(files, dtype=np.int64) if files else None,
+        )
+
+    def factory(chunk_accesses: int) -> Iterator[TraceChunk]:
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -145,6 +98,7 @@ def load_csv_chunked(
                 raise TraceError(f"empty trace file: {path}")
             has_files = len(header) >= 3
             times, pages, files = [], [], []
+            emitted = False
             for row in reader:
                 if not row:
                     continue
@@ -152,28 +106,21 @@ def load_csv_chunked(
                 pages.append(int(row[1]))
                 if has_files:
                     files.append(int(row[2]))
-                if len(times) >= chunk:
-                    yield TraceChunk(
-                        times=np.asarray(times),
-                        pages=np.asarray(pages, dtype=np.int64),
-                        files=(
-                            np.asarray(files, dtype=np.int64)
-                            if has_files
-                            else None
-                        ),
-                    )
+                if len(times) >= chunk_accesses:
+                    yield chunk(times, pages, files)
                     times, pages, files = [], [], []
-            if times:
-                yield TraceChunk(
-                    times=np.asarray(times),
-                    pages=np.asarray(pages, dtype=np.int64),
-                    files=(
-                        np.asarray(files, dtype=np.int64) if has_files else None
-                    ),
-                )
+                    emitted = True
+            # A header-only file is an empty trace, not an empty stream.
+            if times or not emitted:
+                yield chunk(times, pages, files)
 
     return ChunkedTrace(
         factory=factory,
         page_size=page_size,
         meta={"source": str(path)},
     )
+
+
+def load_csv(path: PathLike, page_size: int = 4096) -> Trace:
+    """:func:`load_csv_chunked` as one :class:`Trace`."""
+    return load_csv_chunked(path, page_size).materialize()

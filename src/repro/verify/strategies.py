@@ -2,9 +2,10 @@
 
 Two families, one module:
 
-* **Hypothesis strategies** (``*_patterns``, ``*_specs``, ``machine_configs``)
-  for the property-based tests under ``tests/verify/`` -- Hypothesis owns
-  shrinking and example management there.
+* **Hypothesis strategies** (``access_patterns`` and the pattern
+  families it draws from) for the property-based tests under
+  ``tests/verify/`` -- Hypothesis owns shrinking and example management
+  there.
 * **Seeded generators** (:func:`random_case`, :func:`random_small_machine`)
   for the ``repro verify`` CLI runner -- plain ``numpy`` RNG so that a
   seed number alone reproduces a failure, with the runner's own
@@ -49,10 +50,7 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
 
     st = _MissingHypothesis()
 
-from repro.config.disk_spec import DiskSpec
 from repro.config.machine import MachineConfig, paper_machine
-from repro.config.manager import ManagerConfig
-from repro.config.memory_spec import MemorySpec
 from repro.units import MB
 
 # --- Hypothesis: access patterns --------------------------------------------
@@ -104,80 +102,6 @@ def access_patterns(max_size: int = 300) -> st.SearchStrategy[List[int]]:
         single_page_loops(min(max_size, 200)),
         working_set_loops(),
     )
-
-
-# --- Hypothesis: hardware specs -----------------------------------------------
-
-
-@st.composite
-def disk_specs(draw) -> DiskSpec:
-    """Physically consistent drive specs (powers ordered, times summing)."""
-    standby = draw(st.floats(min_value=0.1, max_value=2.0))
-    static = draw(st.floats(min_value=1.0, max_value=10.0))
-    dynamic = draw(st.floats(min_value=0.5, max_value=8.0))
-    idle = standby + static
-    active = idle + dynamic
-    spin_down = draw(st.floats(min_value=0.5, max_value=5.0))
-    spin_up = draw(st.floats(min_value=1.0, max_value=15.0))
-    energy = draw(st.floats(min_value=5.0, max_value=200.0))
-    return dataclasses.replace(
-        DiskSpec(),
-        mode_power_watts={
-            "active": active,
-            "idle": idle,
-            "standby": standby,
-            "sleep": standby,
-        },
-        transition_energy_joules=energy,
-        transition_time_s=spin_down + spin_up,
-        spin_down_time_s=spin_down,
-        spin_up_time_s=spin_up,
-    )
-
-
-@st.composite
-def memory_specs(draw) -> MemorySpec:
-    """Bank/page geometries satisfying every MemorySpec invariant."""
-    page_shift = draw(st.integers(min_value=12, max_value=14))  # 4-16 kB
-    page = 1 << page_shift
-    pages_per_bank = 1 << draw(st.integers(min_value=0, max_value=12))
-    bank = page * pages_per_bank
-    banks = draw(st.integers(min_value=1, max_value=64))
-    return dataclasses.replace(
-        MemorySpec(),
-        installed_bytes=bank * banks,
-        bank_bytes=bank,
-        page_bytes=page,
-    )
-
-
-@st.composite
-def manager_configs(draw, bank_bytes: int = 16 * MB) -> ManagerConfig:
-    """Manager parameters whose enumeration unit fits the given bank."""
-    unit = bank_bytes * draw(st.integers(min_value=1, max_value=4))
-    return ManagerConfig(
-        period_s=draw(st.floats(min_value=60.0, max_value=1200.0)),
-        aggregation_window_s=draw(st.floats(min_value=0.0, max_value=1.0)),
-        max_utilization=draw(st.floats(min_value=0.05, max_value=1.0)),
-        max_delayed_ratio=draw(st.floats(min_value=1e-4, max_value=1.0)),
-        enumeration_unit_bytes=unit,
-        min_memory_bytes=unit,
-        max_candidates=draw(st.integers(min_value=2, max_value=32)),
-    )
-
-
-@st.composite
-def machine_configs(draw) -> MachineConfig:
-    """Complete machines: memory x disk x manager, mutually consistent."""
-    memory = draw(memory_specs())
-    manager = draw(manager_configs(bank_bytes=memory.bank_bytes))
-    if manager.min_memory_bytes > memory.installed_bytes:
-        manager = dataclasses.replace(
-            manager,
-            enumeration_unit_bytes=memory.bank_bytes,
-            min_memory_bytes=memory.bank_bytes,
-        )
-    return MachineConfig(memory=memory, disk=draw(disk_specs()), manager=manager)
 
 
 # --- seeded cases for the CLI runner ------------------------------------------

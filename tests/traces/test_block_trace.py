@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.block_trace import from_requests, load_block_csv
+from repro.traces.chunked import ChunkedTrace
 
 
 class TestFromRequests:
@@ -115,6 +116,31 @@ class TestCsv:
         assert result.total_accesses == 200
 
 
+class TestUnsortedRequestStream:
+    @pytest.mark.parametrize("chunk_accesses", [1, 7, 64])
+    def test_any_chunk_size_matches_materialized(self, chunk_accesses):
+        # Late requests listed early: the carryover may only release
+        # accesses up to the earliest arrival still unexpanded.
+        from repro.traces.block_trace import from_requests_chunked
+
+        rng = np.random.default_rng(23)
+        times = np.round(rng.uniform(0, 1, 120), 2)
+        offsets = rng.integers(0, 64, 120) * 4096
+        sizes = rng.integers(1, 6 * 4096, 120)
+        expected = from_requests(times, offsets, sizes, page_size=4096)
+        chunked = from_requests_chunked(times, offsets, sizes, page_size=4096)
+        parts = list(chunked.chunks(chunk_accesses))
+        assert np.array_equal(
+            np.concatenate([p.times for p in parts]), expected.times
+        )
+        assert np.array_equal(
+            np.concatenate([p.pages for p in parts]), expected.pages
+        )
+        assert np.array_equal(
+            np.concatenate([p.files for p in parts]), expected.files
+        )
+
+
 class TestChunkedCsv:
     def _write_fuzzed_csv(self, path, seed, rows=400, page=4096):
         """Bursty, tie-heavy request log: the stable-sort stress shape."""
@@ -137,10 +163,11 @@ class TestChunkedCsv:
         path = tmp_path / "fuzz.csv"
         self._write_fuzzed_csv(path, seed=9)
         expected = load_block_csv(path, page_size=4096)
-        chunked = load_block_csv_chunked(
-            path, page_size=4096, chunk_accesses=chunk_accesses
-        )
-        actual = chunked.materialize()
+        chunked = load_block_csv_chunked(path, page_size=4096)
+        parts = list(chunked.chunks(chunk_accesses))
+        actual = ChunkedTrace(
+            factory=lambda _: iter(parts), meta=chunked.meta
+        ).materialize()
         assert np.array_equal(actual.times, expected.times)
         assert np.array_equal(actual.pages, expected.pages)
         assert np.array_equal(actual.files, expected.files)
@@ -155,10 +182,8 @@ class TestChunkedCsv:
 
         path = tmp_path / "fuzz.csv"
         self._write_fuzzed_csv(path, seed=11)
-        chunked = load_block_csv_chunked(
-            path, page_size=4096, chunk_accesses=32
-        )
-        sizes = [len(chunk) for chunk in chunked.chunks()]
+        chunked = load_block_csv_chunked(path, page_size=4096)
+        sizes = [len(chunk) for chunk in chunked.chunks(32)]
         assert sum(sizes) == chunked.num_accesses
         # Every chunk except the last is exactly the requested size.
         assert all(s == 32 for s in sizes[:-1])
@@ -170,7 +195,7 @@ class TestChunkedCsv:
         path = tmp_path / "one.csv"
         path.write_text("time,offset,size\n0.0,0,4096\n")
         with pytest.raises(TraceError):
-            load_block_csv_chunked(path, chunk_accesses=0)
+            next(load_block_csv_chunked(path).chunks(0))
         with pytest.raises(TraceError):
             load_block_csv_chunked(tmp_path / "none.csv")
 
@@ -195,9 +220,10 @@ class TestChunkedCsv:
         )
         chunked = run_chunked(
             "2TFM-16GB",
-            load_block_csv_chunked(path, page_size=page, chunk_accesses=37),
+            load_block_csv_chunked(path, page_size=page),
             fast_machine,
             duration_s=480.0,
+            chunk_accesses=37,
         )
         assert chunked.total_accesses == offline.total_accesses
         assert chunked.disk_energy_j == offline.disk_energy_j

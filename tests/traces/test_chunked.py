@@ -25,13 +25,12 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.sim.prefill import warm_start_pages
 from repro.sim.runner import run_chunked, run_method
-from repro.traces.chunked import (
-    ChunkedTrace,
-    TraceChunk,
-    chunk_trace,
+from repro.traces.chunked import ChunkedTrace, TraceChunk, chunk_trace
+from repro.traces.modulation import (
+    diurnal_profile,
+    modulate_rate,
     modulate_rate_chunked,
 )
-from repro.traces.modulation import diurnal_profile, modulate_rate
 from repro.traces.specweb import generate_trace, generate_trace_chunked
 from repro.traces.suites import build, build_chunked, suite_names
 from repro.traces.synthesizer import scale_data_rate, scale_data_rate_chunked
@@ -39,7 +38,6 @@ from repro.traces.trace_io import (
     load_csv,
     load_csv_chunked,
     load_npz,
-    load_npz_chunked,
     save_csv,
     save_npz,
 )
@@ -47,9 +45,19 @@ from repro.units import GB, MB
 from repro.verify.differential import deep_diff
 
 
-def assert_traces_equal(materialized, chunked_trace):
+def concatenate_chunks(chunked_trace, chunk_accesses):
+    """The stream's chunks of one size, glued into a Trace."""
+    parts = list(chunked_trace.chunks(chunk_accesses))
+    return ChunkedTrace(
+        factory=lambda _: iter(parts),
+        page_size=chunked_trace.page_size,
+        meta=chunked_trace.meta,
+    ).materialize()
+
+
+def assert_traces_equal(materialized, chunked_trace, chunk_accesses):
     """Every array of the chunked concatenation matches bit for bit."""
-    got = chunked_trace.materialize()
+    got = concatenate_chunks(chunked_trace, chunk_accesses)
     assert np.array_equal(got.times, materialized.times)
     assert got.times.dtype == materialized.times.dtype
     assert np.array_equal(got.pages, materialized.pages)
@@ -92,25 +100,19 @@ class TestGenerationEquivalence:
     def test_fuzz_all_suites(self, machine, suite, seed, chunk_accesses):
         duration = 600.0
         materialized = build(suite, machine, duration, seed=seed)
-        chunked = build_chunked(
-            suite, machine, duration, seed=seed, chunk_accesses=chunk_accesses
-        )
-        assert_traces_equal(materialized, chunked)
+        chunked = build_chunked(suite, machine, duration, seed=seed)
+        assert_traces_equal(materialized, chunked, chunk_accesses)
         assert chunked.meta["suite"] == suite
 
     def test_write_flags_round_trip(self, machine):
-        chunked = build_chunked(
-            "write-heavy", machine, 600.0, seed=7, chunk_accesses=500
-        )
+        chunked = build_chunked("write-heavy", machine, 600.0, seed=7)
         assert chunked.has_writes
-        trace = chunked.materialize()
+        trace = concatenate_chunks(chunked, 500)
         assert trace.writes is not None and trace.writes.any()
 
     def test_chunk_size_bound_holds(self, machine):
-        chunked = build_chunked(
-            "paper-default", machine, 600.0, seed=3, chunk_accesses=128
-        )
-        sizes = [len(c) for c in chunked.chunks()]
+        chunked = build_chunked("paper-default", machine, 600.0, seed=3)
+        sizes = [len(c) for c in chunked.chunks(128)]
         assert sizes, "no chunks produced"
         assert max(sizes) <= 128
 
@@ -125,46 +127,46 @@ class TestGenerationEquivalence:
             write_fraction=0.2,
         )
         materialized = generate_trace(**kwargs)
-        chunked = generate_trace_chunked(chunk_accesses=900, **kwargs)
-        assert_traces_equal(materialized, chunked)
+        chunked = generate_trace_chunked(**kwargs)
+        assert_traces_equal(materialized, chunked, 900)
 
 
 class TestTransforms:
     def test_chunk_trace_views(self, small_trace):
-        chunked = chunk_trace(small_trace, 1000)
-        assert_traces_equal(small_trace, chunked)
+        chunked = chunk_trace(small_trace)
+        assert_traces_equal(small_trace, chunked, 1000)
 
     def test_chunk_trace_rejects_bad_size(self, small_trace):
         with pytest.raises(TraceError):
-            chunk_trace(small_trace, 0)
+            next(chunk_trace(small_trace).chunks(0))
 
     def test_scale_data_rate_chunked(self, small_trace):
         materialized = scale_data_rate(small_trace, 2.5)
-        chunked = scale_data_rate_chunked(chunk_trace(small_trace, 700), 2.5)
-        assert_traces_equal(materialized, chunked)
+        chunked = scale_data_rate_chunked(chunk_trace(small_trace), 2.5)
+        assert_traces_equal(materialized, chunked, 700)
         assert chunked.meta["rate_scaled_by"] == 2.5
 
     def test_modulate_rate_chunked(self, machine):
         flat = build("paper-default", machine, 600.0, seed=5)
         profile = diurnal_profile(600.0, peak_to_trough=8.0)
         materialized = modulate_rate(flat, profile)
-        chunked = modulate_rate_chunked(chunk_trace(flat, 900), profile)
-        assert_traces_equal(materialized, chunked)
+        chunked = modulate_rate_chunked(chunk_trace(flat), profile)
+        assert_traces_equal(materialized, chunked, 900)
 
     def test_modulate_needs_totals(self):
         src = ChunkedTrace(
-            factory=lambda: iter(()), num_accesses=None, duration_s=None
+            factory=lambda _: iter(()), num_accesses=None, duration_s=None
         )
         with pytest.raises(TraceError):
             modulate_rate_chunked(src, lambda t: 1.0)
 
     def test_materialize_empty_raises(self):
-        src = ChunkedTrace(factory=lambda: iter(()))
+        src = ChunkedTrace(factory=lambda _: iter(()))
         with pytest.raises(TraceError):
             src.materialize()
 
     def test_with_meta(self, small_trace):
-        chunked = chunk_trace(small_trace, 1000).with_meta(origin="test")
+        chunked = chunk_trace(small_trace).with_meta(origin="test")
         assert chunked.meta["origin"] == "test"
         assert chunked.num_accesses == small_trace.num_accesses
 
@@ -177,19 +179,68 @@ class TestIo:
         save_npz(trace, path)
         loaded = load_npz(path)
         assert np.array_equal(loaded.writes, trace.writes)
-        chunked = load_npz_chunked(path, chunk_accesses=500)
-        assert_traces_equal(loaded, chunked)
+        chunked = chunk_trace(load_npz(path))
+        assert_traces_equal(loaded, chunked, 500)
 
     def test_csv_chunked_matches_loader(self, small_trace, tmp_path):
         path = tmp_path / "trace.csv"
         save_csv(small_trace, path)
         whole = load_csv(path, page_size=small_trace.page_size)
-        chunked = load_csv_chunked(
-            path, page_size=small_trace.page_size, chunk_accesses=700
-        )
-        assert_traces_equal(whole, chunked)
-        sizes = [len(c) for c in chunked.chunks()]
+        chunked = load_csv_chunked(path, page_size=small_trace.page_size)
+        assert_traces_equal(whole, chunked, 700)
+        sizes = [len(c) for c in chunked.chunks(700)]
         assert max(sizes) <= 700
+
+
+class TestInputBoundary:
+    """Every chunk is checked where it leaves ``ChunkedTrace.chunks``."""
+
+    HOSTILE_ACCESS_CSVS = {
+        "nan-time": "time,page\n0.0,1\nnan,2\n",
+        "negative-time": "time,page\n-1.0,1\n0.5,2\n",
+        "decreasing-times": "time,page\n2.0,1\n1.0,2\n",
+        "negative-page": "time,page\n0.0,1\n1.0,-3\n",
+    }
+    HOSTILE_REQUEST_CSVS = {
+        "nan-time": "time,offset,size\n0.0,0,4096\nnan,4096,4096\n",
+        "inf-time": "time,offset,size\n0.0,0,4096\ninf,4096,4096\n",
+    }
+
+    @staticmethod
+    def _assert_rejected(source, machine, chunk_accesses):
+        with pytest.raises(TraceError):
+            list(source.chunks(chunk_accesses))
+        with pytest.raises(TraceError):
+            run_chunked(
+                "2TFM-8GB", source, machine, chunk_accesses=chunk_accesses
+            )
+
+    @pytest.mark.parametrize("chunk_accesses", [1, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ACCESS_CSVS))
+    def test_access_csv(self, machine, tmp_path, case, chunk_accesses):
+        path = tmp_path / f"{case}.csv"
+        path.write_text(self.HOSTILE_ACCESS_CSVS[case])
+        source = load_csv_chunked(path, page_size=machine.page_bytes)
+        self._assert_rejected(source, machine, chunk_accesses)
+
+    @pytest.mark.parametrize("chunk_accesses", [1, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_REQUEST_CSVS))
+    def test_request_csv(self, machine, tmp_path, case, chunk_accesses):
+        from repro.traces.block_trace import load_block_csv_chunked
+
+        path = tmp_path / f"{case}.csv"
+        path.write_text(self.HOSTILE_REQUEST_CSVS[case])
+        source = load_block_csv_chunked(path, page_size=machine.page_bytes)
+        self._assert_rejected(source, machine, chunk_accesses)
+
+    def test_chunks_out_of_order(self):
+        parts = [
+            TraceChunk(times=np.array([1.0, 2.0]), pages=np.array([0, 1])),
+            TraceChunk(times=np.array([1.5]), pages=np.array([2])),
+        ]
+        source = ChunkedTrace(factory=lambda _: iter(parts))
+        with pytest.raises(TraceError, match="across chunks"):
+            list(source.chunks())
 
 
 class TestChunkedReplay:
@@ -200,32 +251,32 @@ class TestChunkedReplay:
     )
     def test_cold_identity(self, machine, method):
         trace = build("paper-default", machine, 600.0, seed=3)
-        source = build_chunked(
-            "paper-default", machine, 600.0, seed=3, chunk_accesses=2000
-        )
+        source = build_chunked("paper-default", machine, 600.0, seed=3)
         offline = run_method(method, trace, machine, warm_start=False)
-        streamed = run_chunked(method, source, machine)
+        streamed = run_chunked(method, source, machine, chunk_accesses=2000)
         assert_results_identical(offline, streamed)
 
     @pytest.mark.parametrize("method", ["2TFM-8GB", "2TDS-128GB", "JOINT"])
     def test_warm_identity(self, machine, method):
         trace = build("paper-default", machine, 600.0, seed=3)
-        source = build_chunked(
-            "paper-default", machine, 600.0, seed=3, chunk_accesses=2000
-        )
+        source = build_chunked("paper-default", machine, 600.0, seed=3)
         offline = run_method(method, trace, machine, warm_start=True)
         streamed = run_chunked(
-            method, source, machine, prefill=warm_start_pages(trace)
+            method,
+            source,
+            machine,
+            prefill=warm_start_pages(trace),
+            chunk_accesses=2000,
         )
         assert_results_identical(offline, streamed)
 
     def test_write_trace_identity(self, machine):
         trace = build("write-heavy", machine, 600.0, seed=7)
-        source = build_chunked(
-            "write-heavy", machine, 600.0, seed=7, chunk_accesses=1500
-        )
+        source = build_chunked("write-heavy", machine, 600.0, seed=7)
         offline = run_method("2TFM-8GB", trace, machine, warm_start=False)
-        streamed = run_chunked("2TFM-8GB", source, machine)
+        streamed = run_chunked(
+            "2TFM-8GB", source, machine, chunk_accesses=1500
+        )
         assert_results_identical(offline, streamed)
 
     def test_pending_ring_stays_bounded(self, machine):
@@ -234,12 +285,10 @@ class TestChunkedReplay:
         single 600-s metrics period."""
         from repro.service.streaming import StreamingManager
 
-        source = build_chunked(
-            "paper-default", machine, 600.0, seed=3, chunk_accesses=512
-        )
+        source = build_chunked("paper-default", machine, 600.0, seed=3)
         stream = StreamingManager("2TFM-8GB", machine, expect_writes=False)
         worst = 0
-        for chunk in source.chunks():
+        for chunk in source.chunks(512):
             stream.feed(chunk.times, chunk.pages, chunk.writes)
             worst = max(worst, stream._hi - stream._lo)
         stream.close()
@@ -301,10 +350,10 @@ class TestPaperScaleBoundedMemory:
         chunk = 1 << 20
         chunked = self._run(
             f"""\
-            source = generate_trace_chunked(
-                {self.PARAMS}, chunk_accesses={chunk},
+            source = generate_trace_chunked({self.PARAMS})
+            result = run_chunked(
+                "2TDS-128GB", source, machine, chunk_accesses={chunk}
             )
-            result = run_chunked("2TDS-128GB", source, machine)
             print(dict(
                 n=source.num_accesses,
                 delta=vm("VmHWM") - base,
