@@ -38,20 +38,8 @@ def trace(machine):
     )
 
 
-def test_stack_distance_throughput(benchmark):
-    rng = np.random.default_rng(1)
-    pages = rng.zipf(1.3, size=20_000).tolist()
-
-    def work():
-        tracker = StackDistanceTracker()
-        for page in pages:
-            tracker.access(page)
-
-    benchmark(work)
-
-
 def test_stack_distance_batch_throughput(benchmark):
-    """The live-count tracker's array entry point (profile construction)."""
+    """The tracker's array pass (profile builds, stream feeds, joint spans)."""
     rng = np.random.default_rng(1)
     pages = rng.zipf(1.3, size=20_000)
 

@@ -37,13 +37,11 @@ def main() -> None:
     # One instrumentation pass: record (time, stack depth) per access.
     # The first half of the trace only warms the LRU history (like the
     # joint manager's earlier periods); predictions use the second half.
-    tracker = StackDistanceTracker()
+    depths = StackDistanceTracker().access_array(trace.pages)
     predictor = ResizePredictor()
     observe_from = duration / 2
-    for t, page in zip(trace.times, trace.pages):
-        depth = tracker.access(int(page))
-        if t >= observe_from:
-            predictor.record(float(t), depth)
+    observed = trace.times >= observe_from
+    predictor.record_array(trace.times[observed], depths[observed])
 
     candidates_gb = [1, 2, 4, 8, 12, 16, 24, 32, 64, 128]
     page = machine.page_bytes

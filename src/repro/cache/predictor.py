@@ -60,8 +60,7 @@ class ResizePredictor:
     """Accumulates ``(time, depth)`` samples and predicts per-size disk IO.
 
     Samples live in preallocated numpy buffers that grow geometrically,
-    so both the per-access :meth:`record` and the batch
-    :meth:`record_array` append without per-sample Python list overhead.
+    so :meth:`record_array` appends without per-sample Python overhead.
     """
 
     def __init__(self) -> None:
@@ -86,25 +85,13 @@ class ResizePredictor:
         self._times = times
         self._depths = depths
 
-    def record(self, time_s: float, depth: int) -> None:
-        """Record one disk-cache access and its stack depth."""
-        if time_s < self._last_time:
-            raise SimulationError("accesses must be recorded in time order")
-        if depth < COLD:
-            raise SimulationError(f"invalid depth {depth}")
-        self._reserve(1)
-        self._times[self._size] = time_s
-        self._depths[self._size] = depth
-        self._size += 1
-        self._last_time = time_s
-
     def record_array(self, times, depths) -> None:
-        """Batch :meth:`record`: append whole ``(times, depths)`` arrays.
+        """Append whole ``(times, depths)`` arrays of disk-cache accesses.
 
-        Identical semantics to calling :meth:`record` per element --
-        including the validation errors -- but the monotonicity and depth
-        checks run vectorized and the samples land in the buffers with
-        two slice copies.
+        Times must be non-decreasing, within the array and after the last
+        sample recorded; depths are stack depths (:data:`COLD` or
+        non-negative).  The samples land in the buffers with two slice
+        copies.
         """
         times = np.asarray(times, dtype=np.float64)
         depths = np.asarray(depths, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Mattson stack distances: per access in ``O(log n)``, per batch in numpy.
+"""Mattson stack distances, one numpy pass per batch of accesses.
 
 The stack (LRU) distance of an access is the number of *distinct* pages
 referenced since the previous access to the same page.  Under LRU, an
@@ -6,29 +6,15 @@ access hits a cache of ``m`` pages iff its stack distance is smaller than
 ``m`` -- this is the inclusion property the paper's extended LRU list
 exploits (Section II-C, [33]).
 
-:class:`StackDistanceTracker` offers two call styles over one stack, and
-an instance serves exactly one of them:
-
-* :meth:`~StackDistanceTracker.access` -- one access at a time, for
-  callers that interleave each depth with other per-access work (the
-  joint manager's scalar loop).  Classic algorithm: keep, for every
-  page, the index of its most recent access; maintain a Fenwick (binary
-  indexed) tree with a 1 at each index that is currently "the most
-  recent access of some page".  The distance of a new access to page
-  ``p`` previously seen at index ``i`` is the number of 1s strictly
-  after ``i``.  The tree is compacted when the index space fills: live
-  indices (one per distinct page) are renumbered in order.  Compaction
-  is ``O(P log P)`` for ``P`` distinct pages and happens every
-  ``O(capacity)`` accesses, so the amortised cost stays logarithmic.
-* :meth:`~StackDistanceTracker.access_array` -- a whole page array at
-  once, with no per-access Python.  The live stack is kept as arrays
-  and each block of at most :data:`BLOCK` accesses is one exact array
-  pass; see :meth:`~StackDistanceTracker._access_block`.
+:class:`StackDistanceTracker` keeps the live stack as arrays and takes a
+whole page array per call, with no per-access Python: each block of at
+most :data:`BLOCK` accesses is one exact array pass (see
+:meth:`~StackDistanceTracker._access_block`), and consecutive calls
+continue one stream.  Profile builds, stream feeds and the joint
+manager's scalar spans all go through :meth:`~StackDistanceTracker.access_array`.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,36 +29,6 @@ COLD = -1
 #: fixed (one unblocked pass over a 590k-access trace raised peak RSS by
 #: 75 MB, and ran 4x slower out of cache).
 BLOCK = 1 << 16
-
-_ACCESS = "access"
-_ARRAY = "access_array"
-
-
-class _Fenwick:
-    """Prefix-sum tree over a fixed index range."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._tree = [0] * (size + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self.size:
-            self._tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries in ``[0, index]``."""
-        i = index + 1
-        total = 0
-        while i > 0:
-            total += self._tree[i]
-            i -= i & (-i)
-        return total
-
-    @property
-    def total(self) -> int:
-        return self.prefix_sum(self.size - 1) if self.size else 0
 
 
 def count_earlier_above(prev: np.ndarray) -> np.ndarray:
@@ -120,31 +76,15 @@ def count_earlier_above(prev: np.ndarray) -> np.ndarray:
 class StackDistanceTracker:
     """Streaming LRU stack-distance computation.
 
-    >>> tracker = StackDistanceTracker()
-    >>> [tracker.access(p) for p in (1, 2, 1, 2, 3, 1)]
-    [-1, -1, 1, 1, -1, 2]
     >>> StackDistanceTracker().access_array([1, 2, 1, 2, 3, 1]).tolist()
     [-1, -1, 1, 1, -1, 2]
 
-    One instance serves one call style: the first :meth:`access` or
-    :meth:`access_array` call fixes it, and calling the other raises
-    :class:`~repro.errors.SimulationError`.
+    Distance 0 means the page was the most recently used one; under LRU
+    the access hits a cache of ``m`` pages iff ``0 <= d < m``, and
+    :data:`COLD` marks a first touch.
     """
 
-    def __init__(self, initial_capacity: int = 1 << 16) -> None:
-        if initial_capacity < 4:
-            raise SimulationError("initial capacity too small")
-        self._style: Optional[str] = None
-        # --- access(): Fenwick state ------------------------------------
-        self._capacity = initial_capacity
-        self._tree = _Fenwick(self._capacity)
-        self._last_index: Dict[int, int] = {}
-        self._next_index = 0
-        #: Running count of live indices (1s in the tree).  Equal to
-        #: ``self._tree.total`` at all times, but maintained incrementally
-        #: so ``access`` pays one prefix sum instead of two.
-        self._live = 0
-        # --- access_array(): the live stack as arrays --------------------
+    def __init__(self) -> None:
         #: Live pages, ascending, and the stamp of each one's last access.
         self._keys = np.empty(0, dtype=np.int64)
         self._stamps = np.empty(0, dtype=np.int64)
@@ -154,59 +94,19 @@ class StackDistanceTracker:
         #: Stamp of the next access.
         self._clock = 0
 
-    def _claim(self, style: str) -> None:
-        if self._style == style:
-            return
-        if self._style is not None:
-            raise SimulationError(
-                f"this stack-distance tracker serves {self._style}(); "
-                f"use a separate tracker for {style}()"
-            )
-        self._style = style
-
     @property
     def distinct_pages(self) -> int:
-        """Number of pages seen so far (and not forgotten)."""
-        if self._style == _ARRAY:
-            return int(self._keys.size)
-        return len(self._last_index)
-
-    def access(self, page: int) -> int:
-        """Record an access; return its stack distance (:data:`COLD` if new).
-
-        Distance 0 means the page was the most recently used one; under
-        LRU the access hits a cache of ``m`` pages iff ``0 <= d < m``.
-        """
-        if self._style != _ACCESS:
-            self._claim(_ACCESS)
-        if self._next_index >= self._capacity:
-            self._compact()
-        previous = self._last_index.get(page)
-        index = self._next_index
-        self._next_index += 1
-        if previous is None:
-            distance = COLD
-            self._live += 1
-        else:
-            # Distinct pages accessed strictly after `previous` -- exactly
-            # the pages above this one in the LRU stack (depth 0 = MRU).
-            # The live count replaces the O(log n) ``_tree.total`` sum.
-            distance = self._live - self._tree.prefix_sum(previous)
-            self._tree.add(previous, -1)
-        self._tree.add(index, +1)
-        self._last_index[page] = index
-        return distance
+        """Number of pages seen so far."""
+        return int(self._keys.size)
 
     def access_array(self, pages) -> np.ndarray:
-        """Batch :meth:`access`: distances for a whole page array.
+        """Stack distances of a whole page array, in access order.
 
-        The same distances :meth:`access` would return element by
-        element, computed as array passes over blocks of at most
-        :data:`BLOCK` accesses.  Consecutive calls continue one stream,
-        so any split of a page sequence into calls (empty ones included)
-        returns the same concatenated distances.
+        Computed as array passes over blocks of at most :data:`BLOCK`
+        accesses.  Consecutive calls continue one stream, so any split of
+        a page sequence into calls (empty ones included) returns the same
+        concatenated distances.
         """
-        self._claim(_ARRAY)
         pages = np.asarray(pages)
         out = np.empty(pages.size, dtype=np.int64)
         if pages.size == 0:
@@ -272,34 +172,3 @@ class StackDistanceTracker:
         self._stamps = np.insert(self._stamps, slot[new], stamps[new])
         self._clock += n
         return distances
-
-    def forget(self, page: int) -> None:
-        """Remove a page from the stack (e.g. after trimming history)."""
-        if self._style == _ARRAY:
-            slot = int(np.searchsorted(self._keys, page))
-            if slot < self._keys.size and self._keys[slot] == page:
-                position = np.searchsorted(self._recency, self._stamps[slot])
-                self._recency = np.delete(self._recency, position)
-                self._keys = np.delete(self._keys, slot)
-                self._stamps = np.delete(self._stamps, slot)
-            return
-        previous = self._last_index.pop(page, None)
-        if previous is not None:
-            self._tree.add(previous, -1)
-            self._live -= 1
-
-    def _compact(self) -> None:
-        """Renumber live indices to the front, growing if nearly full."""
-        live = sorted(self._last_index.items(), key=lambda item: item[1])
-        needed = max(len(live) * 2, 4)
-        if needed > self._capacity:
-            self._capacity = max(self._capacity * 2, needed)
-        self._tree = _Fenwick(self._capacity)
-        self._last_index = {}
-        for new_index, (page, _) in enumerate(live):
-            self._last_index[page] = new_index
-            self._tree.add(new_index, +1)
-        self._next_index = len(live)
-        self._live = len(live)
-        if self._next_index >= self._capacity:
-            raise SimulationError("stack-distance compaction failed to make room")

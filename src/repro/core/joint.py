@@ -2,9 +2,11 @@
 
 Lifecycle, driven by the simulation engine:
 
-* ``record_access(now, page)`` for every disk-cache access -- the manager
-  maintains its own extended-LRU instrumentation (stack-distance tracker)
-  and the per-access ``(time, depth)`` log;
+* ``record_pages(times, pages)`` for each span of disk-cache accesses
+  inside one period -- the manager maintains its own extended-LRU
+  instrumentation (stack-distance tracker) and the per-access
+  ``(time, depth)`` log; profiled runs that already hold the depths call
+  ``record_profiled(times, depths)`` instead;
 * ``end_period(now)`` at each period boundary -- runs the enumeration and
   returns the ``(memory size, disk timeout)`` decision for the next
   period.
@@ -120,34 +122,39 @@ class JointPowerManager:
 
     @property
     def _tracker(self) -> StackDistanceTracker:
-        """The per-access tracker, warmed with the prefill on first use."""
+        """The manager's own tracker, warmed with the prefill on first use."""
         if self._stack is None:
             self._stack = StackDistanceTracker()
         if self._warm_pages:
-            access = self._stack.access
-            for page in self._warm_pages:
-                access(page)
+            self._stack.access_array(self._warm_pages)
             self._warm_pages = []
         return self._stack
 
-    # --- per-access ------------------------------------------------------------
+    # --- per-span ----------------------------------------------------------------
 
-    def record_access(self, now: float, page: int) -> int:
-        """Feed one disk-cache access; returns its stack depth (COLD = -1)."""
-        depth = self._tracker.access(page)
-        self._predictor.record(now, depth)
-        return depth
+    def record_pages(self, times, pages) -> np.ndarray:
+        """Feed a span of disk-cache accesses; returns their stack depths.
+
+        The depths come from the manager's own tracker.  The period log
+        is read only at :meth:`end_period`, so a span recorded ahead of
+        its replay equals recording each access as it is replayed --
+        provided the span ends before the next period boundary, which the
+        engine enforces.
+        """
+        depths = self._tracker.access_array(pages)
+        self.record_profiled(times, depths)
+        return depths
 
     def record_profiled(self, times, depths) -> None:
-        """Batch :meth:`record_access` from precomputed stack depths.
+        """Feed a span of disk-cache accesses with precomputed stack depths.
 
         The epoch replay kernel already holds every access's depth (the
         trace profile is the same tracker run over the same prefill and
-        page sequence), so it feeds the per-period log as arrays and
-        skips the manager's own tracker entirely.  Callers own the
-        contract that ``depths`` equals what :meth:`record_access` would
-        have computed -- the ``epoch`` differential check and the kernel
-        identity tests enforce it.
+        page sequence), so it feeds the per-period log directly and skips
+        the manager's own tracker entirely.  Callers own the contract that
+        ``depths`` equals what :meth:`record_pages` would have computed --
+        the ``parity`` differential check and the kernel identity tests
+        enforce it.
         """
         self._predictor.record_array(times, depths)
 

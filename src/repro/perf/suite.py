@@ -3,9 +3,8 @@
 Four suites, each emitting one JSON document:
 
 * ``micro`` (``BENCH_micro.json``) -- data-structure and single-replay
-  timings: stack-distance tracking (per-call and batched, with the
-  ``stack_batch_speedup`` ratio), profile construction, and the scalar
-  vs vectorized engine loops on one workload, including the
+  timings: batched stack-distance tracking, profile construction, and
+  the scalar vs vectorized engine loops on one workload, including the
   ``replay_speedup`` ratio, and the power-down model's per-access vs
   batched bank accrual (``pd_accrual_speedup``).
 * ``sweep`` (``BENCH_sweep.json``) -- the production shape the kernels
@@ -180,26 +179,12 @@ def _suite_micro(quick: bool) -> Dict[str, Any]:
 
     rng = np.random.default_rng(1)
     pages = rng.zipf(1.3, size=5_000 if quick else 20_000)
-    page_list = pages.tolist()
-
-    def tracker_loop():
-        tracker = StackDistanceTracker()
-        access = tracker.access
-        for page in page_list:
-            access(page)
-
-    loop_wall = _best_of(tracker_loop, repeats)
-    entries["stack_tracker"] = _time_entry(loop_wall, len(page_list))
 
     def tracker_batch():
         StackDistanceTracker().access_array(pages)
 
     batch_wall = _best_of(tracker_batch, repeats)
     entries["stack_tracker_batch"] = _time_entry(batch_wall, int(pages.size))
-    entries["stack_batch_speedup"] = _ratio_entry(
-        loop_wall / batch_wall,
-        "per-access access() loop / access_array wall-clock, same Zipf pages",
-    )
 
     machine, trace = _workload(quick)
     profile_holder: List[Any] = []

@@ -426,15 +426,16 @@ class StreamingManager:
             self._replay(self._cut(self.watermark))
 
     def _pump_scalar(self) -> None:
-        """Scalar mode: replay accesses strictly below the watermark.
+        """Scalar mode: walk the accesses strictly below the watermark.
 
         An access at exactly the watermark is held back -- a
-        default-duration close could still drop it.  Trailing events
+        default-duration close could still drop it.  The walk cuts the
+        prefix into one span per epoch, as offline.  Trailing events
         (boundaries and write-back flushes past the last access) fire
         only while the clusterer is empty, same as the fast pump.
         """
         st = self._st
-        self._replay(self._cut(self.watermark))
+        self._walk(self._cut(self.watermark))
         if st.clusterer._pending is None:
             self._engine._drain_events(st, self.watermark)
 
@@ -452,13 +453,19 @@ class StreamingManager:
             self._engine._replay_span(self._st, self._lo, hi)
             self._processed(hi)
 
+    def _walk(self, hi: int) -> int:
+        """Walk pending accesses ``[_lo, hi)`` epoch by epoch, as offline;
+        returns the duration cutoff (:meth:`SimulationEngine._walk`)."""
+        cut = self._engine._walk(self._st, self._lo, hi)
+        if cut > self._lo:
+            self._processed(cut)
+        return cut
+
     def _replay_tail(self) -> None:
         """Close-time tail: walk every pending access below the duration
         exactly as the offline run walks its final accesses, drop the
         rest."""
-        cut = self._engine._walk(self._st, self._lo, self._hi)
-        if cut > self._lo:
-            self._processed(cut)
+        cut = self._walk(self._hi)
         self.accesses_dropped += self._hi - cut
         self._lo = self._hi
 

@@ -271,8 +271,9 @@ class SimulationEngine:
     def _replay_span(self, st: _ReplayState, lo: int, hi: int) -> None:
         """Replay ``[lo, hi)`` in the run's mode.
 
-        A fast-mode span must lie inside one epoch; the scalar loop
-        fires its own events and takes any span.
+        A span with a joint manager, or in a fast mode, must lie inside
+        one epoch; a manager-less scalar span fires its own events and
+        may cross boundaries.
         """
         mode = st.mode
         if mode == kernels.MODE_SCALAR:
@@ -360,12 +361,25 @@ class SimulationEngine:
     def _replay_scalar(self, st: _ReplayState, lo: int, hi: int) -> None:
         """The per-access reference loop over ``[lo, hi)`` (joint
         write-back runs, profile-less replays, the ``REPRO_KERNELS=0``
-        kill switch, and the misses of the write-carrying kernel)."""
+        kill switch, and the misses of the write-carrying kernel).
+
+        A joint manager's span is recorded as one batch before the loop:
+        its period log is read only when the next boundary fires, and the
+        span must end before that boundary.
+        """
         memory = self.memory
-        manager = self.manager
         has_writes = st.has_writes
         drain_events = self._drain_events
         serve_miss = self._serve_miss
+
+        if self.manager is not None and hi > lo:
+            if st.times[hi - 1] >= st.next_boundary:
+                raise SimulationError(
+                    f"scalar span [{lo}, {hi}) reaches the period boundary "
+                    f"at {st.next_boundary}s; the joint manager records "
+                    "whole spans and needs them inside one period"
+                )
+            self.manager.record_pages(st.times[lo:hi], st.pages[lo:hi])
 
         times = st.times[lo:hi].tolist()
         pages = st.pages[lo:hi].tolist()
@@ -377,10 +391,6 @@ class SimulationEngine:
 
         for now, page, is_write in zip(times, pages, writes):
             drain_events(st, now)
-
-            if manager is not None:
-                manager.record_access(now, page)
-
             if has_writes:
                 hit = memory.access_rw(now, page, is_write)
                 pending = memory.take_pending_flushes()

@@ -207,8 +207,8 @@ def _profiled_span(engine, st, lo: int, hi: int) -> None:
     depths = st.depths
     if engine.manager is not None:
         # The manager reads its period log only at end_period, so feeding
-        # the span ahead of its misses equals the scalar loop's
-        # interleaved record_access calls.
+        # the span ahead of its misses is exact -- the scalar loop records
+        # its spans the same way (JointPowerManager.record_pages).
         engine.manager.record_profiled(times[lo:hi], depths[lo:hi])
     misses, st.resident = _epoch_misses(
         depths, lo, hi, st.resident, memory.capacity_pages

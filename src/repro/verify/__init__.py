@@ -1,6 +1,6 @@
 """Differential verification: brute-force oracles + trace fuzzing.
 
-Every optimisation in this reproduction (the Fenwick-tree stack tracker,
+Every optimisation in this reproduction (the numpy Mattson stack pass,
 the one-pass resize predictor, the closed-form eq. (2)-(6) timeout
 mathematics, the incremental drive energy accounting) has a slow,
 obviously-correct twin in :mod:`repro.verify.oracles`.  The differential

@@ -74,10 +74,6 @@ from repro.verify.fleet import check_fleet
 from repro.verify.optimal import check_optimal
 from repro.verify.strategies import VerifyCase, random_case, random_small_machine
 
-#: Tracker capacity used by the stack/predictor/joint checks: tiny, so
-#: every fuzzed stream crosses several compaction boundaries.
-TRACKER_CAPACITY = 8
-
 #: Candidate cache sizes (pages) the predictor check sweeps.
 PREDICTOR_CAPACITIES = (0, 1, 2, 3, 5, 8, 13, 21, 34)
 
@@ -222,34 +218,32 @@ def _rebuild(case: VerifyCase, pairs: Sequence[Tuple[float, int]]) -> VerifyCase
 # --- the checks ---------------------------------------------------------------
 
 
-def check_stack_distance(case: VerifyCase) -> Optional[str]:
-    """Both tracker call styles vs the explicit LRU stack.
+def _batch_bounds(case: VerifyCase) -> List[int]:
+    """Random batch edges ``[0, ..., n]`` over the case's accesses.
 
-    The per-access Fenwick ``access`` loop, and ``access_array`` fed the
-    same stream in random batches (empty and single-access ones
-    included) drawn from the case seed.
+    Drawn from the case seed; empty and single-access batches occur.
     """
+    rng = np.random.default_rng(case.seed)
+    n = int(case.pages.size)
+    cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(0, 8))).tolist())
+    return [0] + cuts + [n]
+
+
+def check_stack_distance(case: VerifyCase) -> Optional[str]:
+    """``access_array`` fed in random batches vs the explicit LRU stack."""
     pages = case.pages.tolist()
     slow = oracles.naive_stack_distances(pages)
-    tracker = StackDistanceTracker(initial_capacity=TRACKER_CAPACITY)
-    loop = [tracker.access(page) for page in pages]
-
-    rng = np.random.default_rng(case.seed)
-    n = len(pages)
-    cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(0, 8))).tolist())
-    bounds = [0] + cuts + [n]
-    batched_tracker = StackDistanceTracker()
-    batched: List[int] = []
+    bounds = _batch_bounds(case)
+    tracker = StackDistanceTracker()
+    fast: List[int] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        batched.extend(batched_tracker.access_array(case.pages[lo:hi]).tolist())
-
-    for name, fast in (("access", loop), (f"access_array {bounds}", batched)):
-        if fast != slow:
-            first = next(i for i, (a, b) in enumerate(zip(fast, slow)) if a != b)
-            return (
-                f"{name}: stack distance of access {first} (page "
-                f"{pages[first]}): fast {fast[first]} != oracle {slow[first]}"
-            )
+        fast.extend(tracker.access_array(case.pages[lo:hi]).tolist())
+    if fast != slow:
+        first = next(i for i, (a, b) in enumerate(zip(fast, slow)) if a != b)
+        return (
+            f"access_array {bounds}: stack distance of access {first} (page "
+            f"{pages[first]}): fast {fast[first]} != oracle {slow[first]}"
+        )
     return None
 
 
@@ -274,13 +268,20 @@ def check_intervals(case: VerifyCase) -> Optional[str]:
 
 
 def check_predictor(case: VerifyCase) -> Optional[str]:
-    """One-pass per-size prediction vs literally simulating each size."""
+    """One-pass per-size prediction vs literally simulating each size.
+
+    Depths and samples are fed in the random batches of
+    :func:`_batch_bounds`.
+    """
     times = case.times.tolist()
     pages = case.pages.tolist()
-    tracker = StackDistanceTracker(initial_capacity=TRACKER_CAPACITY)
+    bounds = _batch_bounds(case)
+    tracker = StackDistanceTracker()
     predictor = ResizePredictor()
-    for now, page in zip(times, pages):
-        predictor.record(now, tracker.access(page))
+    for lo, hi in zip(bounds, bounds[1:]):
+        predictor.record_array(
+            case.times[lo:hi], tracker.access_array(case.pages[lo:hi])
+        )
     predictions = predictor.predict(
         PREDICTOR_CAPACITIES,
         window_s=case.window_s,
@@ -316,14 +317,16 @@ def check_joint(case: VerifyCase) -> Optional[str]:
     the literal LRU, (2) candidate selection vs an exhaustive scan,
     (3) the closed-form eq. (4) power vs numerical integration, and
     (4) the eq. (5) timeout vs a dense timeout grid, plus the eq. (6)
-    delayed-ratio constraint at the chosen timeout.
+    delayed-ratio constraint at the chosen timeout.  The manager records
+    the accesses in the random batches of :func:`_batch_bounds`.
     """
     machine = random_small_machine(case.seed)
     manager = JointPowerManager(machine)
     times = case.times.tolist()
     pages = case.pages.tolist()
-    for now, page in zip(times, pages):
-        manager.record_access(now, page)
+    bounds = _batch_bounds(case)
+    for lo, hi in zip(bounds, bounds[1:]):
+        manager.record_pages(case.times[lo:hi], case.pages[lo:hi])
     decision = manager.end_period(case.period_s)
     evaluations = decision.evaluations
     period_s = case.period_s

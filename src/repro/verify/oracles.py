@@ -5,7 +5,7 @@ obviously-correct twin here:
 
 * :func:`naive_stack_distances` / :func:`naive_lru_miss_times` -- an
   explicit LRU stack and a literal per-size LRU cache, against which the
-  Fenwick-tree :class:`~repro.cache.stack_distance.StackDistanceTracker`
+  numpy :class:`~repro.cache.stack_distance.StackDistanceTracker` pass
   and the one-pass :class:`~repro.cache.predictor.ResizePredictor` are
   differentially tested (Mattson inclusion property).
 * :func:`naive_idle_intervals` -- a plain-loop reimplementation of the

@@ -12,10 +12,10 @@ Two families, one module:
   delta-debugging minimiser standing in for Hypothesis shrinking.
 
 The adversarial access patterns target the invariants most likely to
-break under optimisation: working sets sized exactly at the stack
-tracker's compaction boundary, all-cold streams (every distance is
-``COLD``), single-page loops (every distance is 0), and bursty arrival
-processes that straddle the aggregation window.
+break under optimisation: working sets sized around powers of two
+(where the Mattson pass pads its dominance count), all-cold streams
+(every distance is ``COLD``), single-page loops (every distance is 0),
+and bursty arrival processes that straddle the aggregation window.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ def single_page_loops(max_repeats: int = 200) -> st.SearchStrategy[List[int]]:
 def working_set_loops(
     boundary: int = 8, max_laps: int = 40
 ) -> st.SearchStrategy[List[int]]:
-    """Cyclic scans with working sets straddling a compaction boundary.
+    """Cyclic scans with working sets straddling a power of two.
 
-    With a tracker built at ``initial_capacity=boundary``, these loops
-    force compaction every ``boundary`` accesses -- exactly where an
-    off-by-one in the renumbering would surface.
+    ``boundary`` (a power of two) and its neighbours set how far back a
+    reuse reaches and how long a batch runs -- exactly where the padding
+    of :func:`~repro.cache.stack_distance.count_earlier_above` to
+    ``2**levels`` entries would surface an off-by-one.
     """
     return st.tuples(
         st.integers(min_value=1, max_value=boundary * 2 + 1),
@@ -134,9 +135,9 @@ def random_case(seed: int, max_accesses: int = 300) -> VerifyCase:
     """Deterministically expand ``seed`` into a fuzzed access stream.
 
     Cycles through five pattern families -- uniform random, all-cold
-    streams, single-page loops, working-set loops sized around the stack
-    tracker's compaction boundary, and hot/cold mixtures -- with bursty
-    arrivals (60% of gaps inside the aggregation window).
+    streams, single-page loops, working-set loops sized around powers of
+    two, and hot/cold mixtures -- with bursty arrivals (60% of gaps
+    inside the aggregation window).
     """
     rng = np.random.default_rng(seed)
     kind = int(rng.integers(0, len(PATTERNS)))
@@ -148,8 +149,8 @@ def random_case(seed: int, max_accesses: int = 300) -> VerifyCase:
     elif kind == 2:
         pages = np.full(n, int(rng.integers(0, 5)))
     elif kind == 3:
-        # Working sets straddling the verifier's compaction boundary (the
-        # differential runner builds trackers with initial_capacity=8).
+        # Working sets straddling powers of two, where
+        # count_earlier_above pads its input.
         working_set = int(rng.choice([3, 4, 7, 8, 9, 15, 16, 17]))
         pages = np.arange(n) % working_set
     else:

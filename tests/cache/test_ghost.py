@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,8 @@ class TestEquivalenceWithTracker:
     def test_positions_match_stack_distances(self, accesses):
         # 10 distinct pages at most, 16 slots: nothing ever falls off.
         lru = ExtendedLRUList(total_slots=16, resident_pages=8)
-        tracker = StackDistanceTracker()
-        for page in accesses:
-            assert lru.access(page) == tracker.access(page)
+        positions = [lru.access(page) for page in accesses]
+        depths = StackDistanceTracker().access_array(
+            np.asarray(accesses, dtype=np.int64)
+        )
+        assert positions == depths.tolist()

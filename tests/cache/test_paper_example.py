@@ -65,11 +65,8 @@ def test_disk_access_counts_per_memory_size():
 
 def test_ghost_list_and_tracker_agree_on_the_example():
     lru = ExtendedLRUList(total_slots=8, resident_pages=4)
-    tracker = StackDistanceTracker()
-    for page in ACCESSES:
-        position = lru.access(page)
-        depth = tracker.access(page)
-        assert position == depth
+    positions = [lru.access(page) for page in ACCESSES]
+    assert positions == StackDistanceTracker().access_array(ACCESSES).tolist()
 
 
 def test_fig4_idle_interval_reconstruction():
@@ -81,8 +78,7 @@ def test_fig4_idle_interval_reconstruction():
     depth 4) become memory accesses at 5 pages, merging the second idle
     interval into the tail.
     """
-    tracker = StackDistanceTracker()
-    depths = [tracker.access(page) for page in ACCESSES]
+    depths = StackDistanceTracker().access_array(ACCESSES).tolist()
 
     def is_disk(depth: int, memory_pages: int) -> bool:
         return depth == COLD or depth >= memory_pages

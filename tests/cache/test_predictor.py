@@ -19,10 +19,9 @@ from repro.errors import SimulationError
 
 
 def build_predictor(times, pages):
-    tracker = StackDistanceTracker()
     predictor = ResizePredictor()
-    for t, p in zip(times, pages):
-        predictor.record(t, tracker.access(p))
+    depths = StackDistanceTracker().access_array(np.asarray(pages, dtype=np.int64))
+    predictor.record_array(times, depths)
     return predictor
 
 
@@ -100,13 +99,13 @@ class TestBookkeeping:
 
     def test_rejects_time_regression(self):
         predictor = ResizePredictor()
-        predictor.record(5.0, -1)
+        predictor.record_array([5.0], [-1])
         with pytest.raises(SimulationError):
-            predictor.record(4.0, -1)
+            predictor.record_array([4.0], [-1])
 
     def test_rejects_invalid_depth(self):
         with pytest.raises(SimulationError):
-            ResizePredictor().record(0.0, -2)
+            ResizePredictor().record_array([0.0], [-2])
 
     def test_rejects_negative_capacity(self):
         predictor = build_predictor([0.0], [1])
@@ -126,13 +125,13 @@ class TestRecordArray:
     )
     @settings(max_examples=60, deadline=None)
     def test_equivalent_to_scalar_record(self, pages, split):
+        """Two batches record what one sample per call records."""
         times = np.arange(len(pages), dtype=float)
-        tracker = StackDistanceTracker()
-        depths = tracker.access_array(pages)
+        depths = StackDistanceTracker().access_array(pages)
 
         scalar = ResizePredictor()
-        for t, d in zip(times.tolist(), depths.tolist()):
-            scalar.record(t, d)
+        for i in range(len(pages)):
+            scalar.record_array(times[i : i + 1], depths[i : i + 1])
 
         split = min(split, len(pages))
         batched = ResizePredictor()
@@ -154,7 +153,7 @@ class TestRecordArray:
         n = predictor_mod._INITIAL_BUFFER * 2 + 17
         predictor = ResizePredictor()
         predictor.record_array(np.arange(n, dtype=float), np.zeros(n, dtype=np.int64))
-        predictor.record(float(n), 0)
+        predictor.record_array([float(n)], [0])
         assert len(predictor) == n + 1
         [p] = predictor.predict(
             [0], window_s=0.0, period_start=0.0, period_end=float(n + 1)
@@ -179,7 +178,7 @@ class TestRecordArray:
 
     def test_rejects_time_regression_across_batches(self):
         predictor = ResizePredictor()
-        predictor.record(5.0, -1)
+        predictor.record_array([5.0], [-1])
         with pytest.raises(SimulationError, match="time order"):
             predictor.record_array(np.array([4.0]), np.array([0]))
 
@@ -203,7 +202,7 @@ class TestRecordArray:
         predictor.record_array(np.array([0.0, 1.0]), np.array([-1, 0]))
         predictor.reset()
         assert len(predictor) == 0
-        predictor.record(0.5, -1)  # time order restarts after reset
+        predictor.record_array([0.5], [-1])  # time order restarts after reset
         assert len(predictor) == 1
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config.machine import MachineConfig, paper_machine
@@ -22,14 +23,14 @@ def machine():
 
 
 def feed_loop(manager, pages, start_s, period_s, rate_per_s=10.0):
-    """Feed a cyclic page pattern for one period."""
+    """Feed a cyclic page pattern for one period, as one span."""
+    times = []
     t = start_s
-    i = 0
     dt = 1.0 / rate_per_s
     while t < start_s + period_s:
-        manager.record_access(t, pages[i % len(pages)])
+        times.append(t)
         t += dt
-        i += 1
+    manager.record_pages(times, [pages[i % len(pages)] for i in range(len(times))])
     return manager.end_period(start_s + period_s)
 
 
@@ -66,7 +67,7 @@ class TestDecisions:
         manager = JointPowerManager(machine)
         pages = list(range(128))
         feed_loop(manager, pages, 0.0, 600.0)
-        first = manager.record_access(600.5, pages[-1])
+        [first] = manager.record_pages([600.5], [pages[-1]])
         assert first >= 0  # known page, not a cold miss
 
     def test_predictor_resets_each_period(self, machine):
@@ -88,8 +89,7 @@ class TestDecisions:
     def test_prefill_warms_tracker(self, machine):
         manager = JointPowerManager(machine)
         manager.prefill([1, 2, 3])
-        assert manager.record_access(0.0, 3) == 0
-        assert manager.record_access(0.1, 1) == 2
+        assert manager.record_pages([0.0, 0.1], [3, 1]).tolist() == [0, 2]
 
 
 class TestTimeoutSelection:
@@ -118,48 +118,47 @@ class TestTimeoutSelection:
 
 class TestBatchFeeding:
     def test_prefill_depths_match_scalar_loop(self, machine):
-        # The batched prefill must leave the tracker in exactly the state
-        # the old per-page loop produced: subsequent accesses see the
-        # same depths.
-        import numpy as np
+        # The lazy prefill warm-up (one access_array call) must leave the
+        # tracker in the state a page-at-a-time loop produces -- the
+        # explicit LRU stack's: later spans see the same depths, whatever
+        # their batch split.
+        from repro.cache.stack_distance import StackDistanceTracker
+        from repro.verify.oracles import naive_stack_distances
 
         rng = np.random.default_rng(42)
         warm = rng.integers(0, 200, 500).tolist()
         probe = rng.integers(0, 250, 200).tolist()
-
-        batched = JointPowerManager(machine)
-        batched.prefill(warm)
-
-        from repro.cache.stack_distance import StackDistanceTracker
-
-        scalar_tracker = StackDistanceTracker()
+        loop = StackDistanceTracker()
         for page in warm:
-            scalar_tracker.access(page)
+            loop.access_array([page])
+        expected = [int(loop.access_array([page])[0]) for page in probe]
+        assert expected == naive_stack_distances(warm + probe)[len(warm) :]
 
-        for i, page in enumerate(probe):
-            assert batched._tracker.access(page) == scalar_tracker.access(page), i
+        manager = JointPowerManager(machine)
+        manager.prefill(warm)
+        times = np.arange(len(probe), dtype=np.float64)
+        depths = [
+            manager.record_pages(times[lo:hi], probe[lo:hi])
+            for lo, hi in ((0, 1), (1, 1), (1, 90), (90, 200))
+        ]
+        assert np.concatenate(depths).tolist() == expected
 
-    def test_record_profiled_matches_record_access(self, machine):
+    def test_record_profiled_matches_record_pages(self, machine):
         # Feeding the per-period log from precomputed depths must produce
-        # the identical decision to the live record_access loop.
-        import dataclasses as dc
-
-        import numpy as np
-
+        # the identical decision to recording the pages themselves.
         from repro.cache.stack_distance import StackDistanceTracker
         from repro.verify.differential import deep_diff
 
         rng = np.random.default_rng(7)
-        pages = rng.integers(0, 300, 800).tolist()
+        pages = rng.integers(0, 300, 800)
         times = np.sort(rng.uniform(0.0, 600.0, 800))
 
         live = JointPowerManager(machine)
-        for t, p in zip(times.tolist(), pages):
-            live.record_access(t, p)
+        for lo in range(0, 800, 300):
+            live.record_pages(times[lo : lo + 300], pages[lo : lo + 300])
         live_decision = live.end_period(600.0)
 
-        tracker = StackDistanceTracker()
-        depths = tracker.access_array(pages)
+        depths = StackDistanceTracker().access_array(pages)
         batched = JointPowerManager(machine)
         batched.record_profiled(times, depths)
         assert len(batched._predictor) == len(pages)

@@ -25,11 +25,11 @@ def predicted_and_actual(fast_machine, small_trace):
     # --- one instrumented pass (what the joint manager does) ---------------
     prefill = warm_start_pages(small_trace)
     tracker = StackDistanceTracker()
-    for page in prefill:
-        tracker.access(page)
+    tracker.access_array(prefill)
     predictor = ResizePredictor()
-    for t, page in zip(small_trace.times, small_trace.pages):
-        predictor.record(float(t), tracker.access(int(page)))
+    predictor.record_array(
+        small_trace.times, tracker.access_array(small_trace.pages)
+    )
     page_bytes = fast_machine.page_bytes
     predictions = predictor.predict(
         [size * GB // page_bytes for size in SIZES_GB],

@@ -134,6 +134,36 @@ def test_write_traces_stream_scalar(fast_machine, write_trace, duration):
     assert_bit_identical(offline, result)
 
 
+@pytest.mark.parametrize("batching", ["single", "two-boundaries", "on-boundary"])
+def test_write_stream_scalar_feeds_span_boundaries(
+    fast_machine, write_trace, duration, batching
+):
+    """The scalar stream records one span per epoch, whatever the feed:
+    single accesses, one batch across two boundaries, or a lone access
+    exactly on a boundary (it belongs to the next epoch)."""
+    period = fast_machine.manager.period_s
+    trace = write_trace
+    n = trace.num_accesses
+    first, second = np.searchsorted(trace.times, [period, 2 * period]).tolist()
+    if batching == "single":
+        bounds = list(range(n + 1))
+    elif batching == "two-boundaries":
+        bounds = [0, first - 5, second + 5, n]
+    else:
+        times = trace.times.copy()
+        times[first] = period
+        trace = dataclasses.replace(trace, times=times)
+        bounds = [0, first, first + 1, n]
+    offline = run_method(
+        "JOINT", trace, fast_machine, duration_s=duration, warm_start=False
+    )
+    assert offline.replay_mode == "scalar"
+    result = stream_in_batches(
+        "JOINT", fast_machine, trace, duration, bounds, writes=True
+    )
+    assert_bit_identical(offline, result)
+
+
 def test_warmup_window(fast_machine, service_trace, duration):
     period = fast_machine.manager.period_s
     offline = run_method(

@@ -189,3 +189,19 @@ class TestJointIntegration:
                 disk_policy=AlwaysOnPolicy(),
                 joint_manager=JointPowerManager(machine),
             )
+
+    def test_joint_scalar_span_must_end_before_the_boundary(self):
+        # The manager records a scalar span as one batch, which is exact
+        # only inside one period: a span reaching the boundary is refused.
+        machine = micro_machine(period_s=100.0)
+        manager = JointPowerManager(machine)
+        memory = NapMemorySystem(machine.memory, manager.memory_bytes)
+        engine = SimulationEngine(machine, memory, joint_manager=manager)
+        st = engine._start(False, 300.0, 0.0, False)
+        st.times = np.asarray([10.0, 50.0, 100.0, 150.0])
+        st.pages = np.asarray([1, 2, 1, 3], dtype=np.int64)
+        with pytest.raises(SimulationError, match="period boundary"):
+            engine._replay_scalar(st, 0, 3)
+        assert len(manager._predictor) == 0
+        engine._replay_scalar(st, 0, 2)
+        assert len(manager._predictor) == 2

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cache.stack_distance import StackDistanceTracker
 from repro.cli import main
+
+
+def _off_by_one_tracker():
+    """``_access_block`` with every depth >= 1 reported one too deep."""
+    original = StackDistanceTracker._access_block
+
+    def buggy(self, pages):
+        depths = original(self, pages)
+        return np.where(depths >= 1, depths + 1, depths)
+
+    return buggy
 
 
 class TestList:
@@ -263,15 +276,9 @@ class TestVerifyCommand:
         assert "energy" not in out
 
     def test_verify_exits_nonzero_on_divergence(self, capsys, monkeypatch):
-        from repro.cache.stack_distance import StackDistanceTracker
-
-        original = StackDistanceTracker.access
-
-        def buggy(self, page):
-            depth = original(self, page)
-            return depth + 1 if depth >= 1 else depth
-
-        monkeypatch.setattr(StackDistanceTracker, "access", buggy)
+        monkeypatch.setattr(
+            StackDistanceTracker, "_access_block", _off_by_one_tracker()
+        )
         code = main(["verify", "--seeds", "10", "--checks", "stack"])
         assert code == 1
         out = capsys.readouterr().out
@@ -293,15 +300,9 @@ class TestVerifyCommand:
     def test_verify_campaign_path_exits_nonzero_on_divergence(
         self, capsys, monkeypatch
     ):
-        from repro.cache.stack_distance import StackDistanceTracker
-
-        original = StackDistanceTracker.access
-
-        def buggy(self, page):
-            depth = original(self, page)
-            return depth + 1 if depth >= 1 else depth
-
-        monkeypatch.setattr(StackDistanceTracker, "access", buggy)
+        monkeypatch.setattr(
+            StackDistanceTracker, "_access_block", _off_by_one_tracker()
+        )
         # jobs=1 keeps execution in-process so the monkeypatch applies;
         # --chunk forces the campaign code path regardless.
         code = main(

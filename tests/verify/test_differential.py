@@ -92,19 +92,22 @@ class TestMinimizer:
         assert out == [(31.0, 31)]
 
 
+def _off_by_one():
+    """``_access_block`` with every depth >= 1 reported one too deep."""
+    original = StackDistanceTracker._access_block
+
+    def buggy(self, pages):
+        depths = original(self, pages)
+        return np.where(depths >= 1, depths + 1, depths)
+
+    return buggy
+
+
 class TestInjectedBug:
     """The subsystem's reason to exist: a planted bug must be caught."""
 
     def test_off_by_one_in_stack_distance_is_caught(self, monkeypatch):
-        original = StackDistanceTracker.access
-
-        def buggy(self, page):
-            depth = original(self, page)
-            # Off-by-one for any depth >= 1: exactly the class of bug a
-            # Fenwick-compaction mistake would produce.
-            return depth + 1 if depth >= 1 else depth
-
-        monkeypatch.setattr(StackDistanceTracker, "access", buggy)
+        monkeypatch.setattr(StackDistanceTracker, "_access_block", _off_by_one())
         report = run_differential(seeds=20, checks=["stack"])
         assert not report.ok
         divergence = report.first_divergence
@@ -117,40 +120,30 @@ class TestInjectedBug:
         assert "FAIL" in report.render()
 
     def test_off_by_one_also_breaks_predictor_check(self, monkeypatch):
-        original = StackDistanceTracker.access
-
-        def buggy(self, page):
-            depth = original(self, page)
-            return depth + 1 if depth >= 1 else depth
-
-        monkeypatch.setattr(StackDistanceTracker, "access", buggy)
+        monkeypatch.setattr(StackDistanceTracker, "_access_block", _off_by_one())
         report = run_differential(seeds=20, checks=["predictor"])
         assert not report.ok
 
     def test_eviction_bug_in_predictor_is_caught(self, monkeypatch):
         from repro.cache import predictor as predictor_module
 
-        original = predictor_module.ResizePredictor.record
+        original = predictor_module.ResizePredictor.record_array
 
-        def buggy(self, time_s, depth):
+        def buggy(self, times, depths):
             # Drop every fourth sample: predicted misses go wrong.
-            self._counter = getattr(self, "_counter", 0) + 1
-            if self._counter % 4 == 0:
-                return
-            original(self, time_s, depth)
+            seen = getattr(self, "_counter", 0)
+            keep = (seen + 1 + np.arange(len(times))) % 4 != 0
+            self._counter = seen + len(times)
+            original(self, np.asarray(times)[keep], np.asarray(depths)[keep])
 
-        monkeypatch.setattr(predictor_module.ResizePredictor, "record", buggy)
+        monkeypatch.setattr(
+            predictor_module.ResizePredictor, "record_array", buggy
+        )
         report = run_differential(seeds=20, checks=["predictor"])
         assert not report.ok
 
     def test_minimized_case_still_fails_the_check(self, monkeypatch):
-        original = StackDistanceTracker.access
-
-        def buggy(self, page):
-            depth = original(self, page)
-            return depth + 1 if depth >= 1 else depth
-
-        monkeypatch.setattr(StackDistanceTracker, "access", buggy)
+        monkeypatch.setattr(StackDistanceTracker, "_access_block", _off_by_one())
         report = run_differential(seeds=20, checks=["stack"])
         d = report.first_divergence
         assert d is not None

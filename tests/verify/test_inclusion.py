@@ -10,6 +10,7 @@ brute-force oracle, all of which must also agree with each other.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,14 +47,18 @@ def test_ghost_list_matches_literal_lru(pages):
 
 @given(
     pages=access_patterns(max_size=200),
-    tracker_capacity=st.sampled_from([4, 8, 16]),
+    batch=st.sampled_from([4, 8, 16]),
 )
 @settings(max_examples=100, deadline=None)
-def test_predictor_misses_monotone_in_size(pages, tracker_capacity):
-    tracker = StackDistanceTracker(initial_capacity=tracker_capacity)
+def test_predictor_misses_monotone_in_size(pages, batch):
+    """The predictor fed ``batch`` accesses at a time."""
+    tracker = StackDistanceTracker()
     predictor = ResizePredictor()
-    for i, page in enumerate(pages):
-        predictor.record(float(i), tracker.access(page))
+    times = np.arange(len(pages), dtype=np.float64)
+    pages_array = np.asarray(pages, dtype=np.int64)
+    for lo in range(0, len(pages), batch):
+        hi = lo + batch
+        predictor.record_array(times[lo:hi], tracker.access_array(pages_array[lo:hi]))
     predictions = predictor.predict(
         CAPACITIES, window_s=0.0, period_start=0.0, period_end=float(len(pages)) + 1.0
     )

@@ -1,4 +1,4 @@
-"""CHECKS["stack"]: both tracker call styles pass, a broken array pass fails."""
+"""CHECKS["stack"]: the batched array pass passes, a broken one fails."""
 
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ def test_off_by_one_in_level_count_is_caught(monkeypatch, old, new):
     divergence = report.first_divergence
     assert divergence is not None
     assert divergence.check == "stack"
-    # Only the array pass uses the level count; the Fenwick loop agrees.
+    # The detail names the batch split that diverged.
     assert divergence.detail.startswith("access_array")
     # The minimized reproducer still fails, and is no longer than the case.
     case = random_case(divergence.seed)
