@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments import ablation
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def _by(rows, dataset_gb, variant):
@@ -14,7 +15,7 @@ def _by(rows, dataset_gb, variant):
 
 def test_ablation_variants(benchmark, profile, publish):
     result = benchmark.pedantic(
-        ablation.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("ablation", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = result.rows

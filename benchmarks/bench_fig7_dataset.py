@@ -7,7 +7,8 @@ method, the 14 comparison methods and the baseline, at 4-64 GB.
 
 from __future__ import annotations
 
-from repro.experiments import fig7_dataset
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def _by(rows, dataset_gb, method):
@@ -19,7 +20,7 @@ def _by(rows, dataset_gb, method):
 
 def test_fig7_dataset_sweep(benchmark, profile, publish):
     result = benchmark.pedantic(
-        fig7_dataset.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("fig7", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = result.rows

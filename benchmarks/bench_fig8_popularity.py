@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments import fig8_popularity
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def _series(rows, method, key):
@@ -15,7 +16,7 @@ def _series(rows, method, key):
 
 def test_fig8_popularity_sweep(benchmark, profile, publish):
     result = benchmark.pedantic(
-        fig8_popularity.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("fig8pop", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = result.rows

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments import hw_sensitivity
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def test_hw_sensitivity(benchmark, profile, publish):
     result = benchmark.pedantic(
-        hw_sensitivity.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("hwsens", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = {row["variant"]: row for row in result.rows}

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments import table3_accesses
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def test_table3_access_counts(benchmark, profile, publish):
     result = benchmark.pedantic(
-        table3_accesses.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("table3", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = {row["method"]: row for row in result.rows}

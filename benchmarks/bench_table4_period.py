@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments import table4_period
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def test_table4_period_sensitivity(benchmark, profile, publish):
     result = benchmark.pedantic(
-        table4_period.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("table4", profile),), rounds=1, iterations=1
     )
     publish(result)
     energies = [row["total_energy"] for row in result.rows]

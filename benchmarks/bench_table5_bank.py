@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments import table5_bank
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def test_table5_bank_sensitivity(benchmark, profile, publish):
     result = benchmark.pedantic(
-        table5_bank.run, args=(profile,), rounds=1, iterations=1
+        run_plan, args=(get_plan("table5", profile),), rounds=1, iterations=1
     )
     publish(result)
     rows = sorted(result.rows, key=lambda row: row["bank_mb"])

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments import writes
+from repro.campaign.plan import run_plan
+from repro.experiments.registry import get_plan
 
 
 def _series(rows, method, key):
@@ -14,7 +15,9 @@ def _series(rows, method, key):
 
 
 def test_write_fraction_sweep(benchmark, profile, publish):
-    result = benchmark.pedantic(writes.run, args=(profile,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_plan, args=(get_plan("writes", profile),), rounds=1, iterations=1
+    )
     publish(result)
     rows = result.rows
 

@@ -3,8 +3,8 @@
 * :mod:`repro.cache.lru` -- the resident-page LRU disk cache (the paper's
   "simulation of the disk cache ... implemented using the same algorithm as
   the disk cache in Linux").
-* :mod:`repro.cache.stack_distance` -- Mattson stack distances computed
-  online in ``O(log n)`` per access.
+* :mod:`repro.cache.stack_distance` -- Mattson stack distances, one
+  numpy pass per block of accesses.
 * :mod:`repro.cache.profile` -- one stack-distance pass per trace; its
   ``hit_counts``/``miss_counts`` are the per-depth counters of the
   extended LRU list (paper Fig. 3) at every memory size.

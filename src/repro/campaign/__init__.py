@@ -20,6 +20,7 @@ from repro.campaign.journal import RunJournal, completed_payloads, read_events
 from repro.campaign.plan import (
     CampaignPlan,
     GridPoint,
+    grid_plan,
     grid_tasks,
     resolve_methods,
     run_plan,
@@ -56,6 +57,7 @@ __all__ = [
     "default_cache_root",
     "digest",
     "execute_task",
+    "grid_plan",
     "grid_scan",
     "grid_tasks",
     "naive_grid_scan",

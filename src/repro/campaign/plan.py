@@ -10,13 +10,15 @@ construction -- assembly only ever sees payloads in task order.
 
 :class:`GridPoint` models the shape every grid experiment has: one
 machine + one workload, simulated under several methods, with the
-always-on baseline among them for normalisation.
+always-on baseline among them for normalisation.  :func:`grid_plan` is
+the one template every grid (the paper's sweeps and
+:func:`repro.sim.sweep.sweep`) is planned and assembled through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import CampaignError
 from repro.config.machine import MachineConfig
@@ -109,6 +111,35 @@ def split_by_point(
             f"{cursor} task(s)"
         )
     return grouped
+
+
+#: Builds one point's rows from its ``label -> summary`` map.
+PointRows = Callable[[GridPoint, Mapping[str, SimSummary]], Iterable[Dict[str, Any]]]
+
+
+def grid_plan(
+    points: Sequence[GridPoint],
+    point_rows: PointRows,
+    result: Callable[[List[Dict[str, Any]]], Any] = list,
+) -> CampaignPlan:
+    """The grid template: points -> tasks -> per-point summaries -> rows.
+
+    Each row ``point_rows`` yields is prefixed with its point's ``meta``
+    columns, in point order; ``result`` turns the row list into the
+    artefact (the rows themselves by default).
+    """
+    points = list(points)
+
+    def assemble(payloads: Sequence[Mapping[str, Any]]) -> Any:
+        return result(
+            [
+                {**dict(point.meta), **row}
+                for point, by_label in split_by_point(points, payloads)
+                for row in point_rows(point, by_label)
+            ]
+        )
+
+    return CampaignPlan(tasks=grid_tasks(points), assemble=assemble)
 
 
 def run_plan(

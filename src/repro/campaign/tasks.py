@@ -26,7 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.policies.registry import MethodSpec
-from repro.sim.results import NormalizedResult, SimResult
+from repro.sim.results import RunTotals, SimResult
 from repro.traces.trace import Trace
 
 from repro.campaign.hashing import task_key
@@ -90,13 +90,13 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class SimSummary:
+class SimSummary(RunTotals):
     """The JSON-safe slice of :class:`repro.sim.results.SimResult`.
 
     Carries every scalar the experiment assemblers read, plus the
     joint manager's per-period memory decisions (hw-sensitivity rows).
-    The normalisation arithmetic mirrors ``SimResult.normalized_to``
-    bit-for-bit so assembled rows are byte-identical to the direct path.
+    Its totals and normalisation are ``SimResult``'s own
+    (:class:`repro.sim.results.RunTotals`).
     """
 
     label: str
@@ -128,36 +128,6 @@ class SimSummary:
     excess_misses: Optional[int] = None
     energy_lower_bound_j: Optional[float] = None
     energy_ratio: Optional[float] = None
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.memory_energy_j + self.disk_energy_j
-
-    @property
-    def long_latency_per_s(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.long_latency / self.duration_s
-
-    @property
-    def miss_ratio(self) -> float:
-        if self.total_accesses == 0:
-            return 0.0
-        return self.disk_page_accesses / self.total_accesses
-
-    def normalized_to(self, baseline: "SimSummary") -> NormalizedResult:
-        def ratio(x: float, base: float) -> float:
-            return x / base if base > 0 else 0.0
-
-        return NormalizedResult(
-            label=self.label,
-            total_energy=ratio(self.total_energy_j, baseline.total_energy_j),
-            disk_energy=ratio(self.disk_energy_j, baseline.disk_energy_j),
-            memory_energy=ratio(self.memory_energy_j, baseline.memory_energy_j),
-            mean_latency_s=self.mean_latency_s,
-            utilization=self.utilization,
-            long_latency_per_s=self.long_latency_per_s,
-        )
 
     @classmethod
     def from_result(cls, result: SimResult) -> "SimSummary":

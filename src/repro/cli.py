@@ -40,7 +40,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.base import full_config, quick_config
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.registry import get_plan, list_experiments
 from repro.policies.registry import standard_methods
 from repro.sim.runner import run_method
 from repro.units import GB, MB
@@ -115,56 +115,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one method on a workload")
     simulate.add_argument("method", help="method name, e.g. JOINT or 2TFM-8GB")
-    simulate.add_argument(
-        "--suite",
-        help="named workload (see repro.traces.suites) instead of the knobs below",
-    )
-    simulate.add_argument("--dataset-gb", type=float, default=16.0)
-    simulate.add_argument("--rate-mb", type=float, default=100.0)
-    simulate.add_argument("--popularity", type=float, default=0.1)
-    simulate.add_argument("--periods", type=int, default=5)
-    simulate.add_argument("--warmup-periods", type=int, default=1)
-    simulate.add_argument(
-        "--scale", type=int, default=1024, help=_SCALE_HELP
-    )
-    simulate.add_argument("--seed", type=int, default=42)
+    _add_workload_options(simulate)
 
     regret = sub.add_parser(
         "regret",
         help="run one method and score it against the offline optimum",
     )
     regret.add_argument("method", help="method name, e.g. JOINT or 2TFM-8GB")
-    regret.add_argument(
-        "--suite",
-        help="named workload (see repro.traces.suites) instead of the knobs below",
-    )
-    regret.add_argument("--dataset-gb", type=float, default=16.0)
-    regret.add_argument("--rate-mb", type=float, default=100.0)
-    regret.add_argument("--popularity", type=float, default=0.1)
-    regret.add_argument("--periods", type=int, default=5)
     # The oracle aligns the capacity schedule with the trace from t=0, so
     # regret runs record the whole run: no warmup window.
-    regret.add_argument(
-        "--warmup-periods", type=int, default=0, help=argparse.SUPPRESS
-    )
-    regret.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
-    regret.add_argument("--seed", type=int, default=42)
+    _add_workload_options(regret, warmup=False)
 
     report = sub.add_parser(
         "report", help="run one method and print the analysis report"
     )
     report.add_argument("method", help="method name, e.g. JOINT or 2TDS-128GB")
-    report.add_argument(
-        "--suite",
-        help="named workload (see repro.traces.suites) instead of the knobs below",
-    )
-    report.add_argument("--dataset-gb", type=float, default=16.0)
-    report.add_argument("--rate-mb", type=float, default=100.0)
-    report.add_argument("--popularity", type=float, default=0.1)
-    report.add_argument("--periods", type=int, default=5)
-    report.add_argument("--warmup-periods", type=int, default=1)
-    report.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
-    report.add_argument("--seed", type=int, default=42)
+    _add_workload_options(report)
 
     trace = sub.add_parser(
         "trace", help="generate or import a workload and characterise it"
@@ -348,6 +314,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_workload_options(
+    parser: argparse.ArgumentParser, warmup: bool = True
+) -> None:
+    """The workload flags of simulate, regret and report.
+
+    ``warmup=False`` hides ``--warmup-periods`` and defaults it to 0.
+    """
+    parser.add_argument(
+        "--suite",
+        help="named workload (see repro.traces.suites) instead of the knobs below",
+    )
+    parser.add_argument("--dataset-gb", type=float, default=16.0)
+    parser.add_argument("--rate-mb", type=float, default=100.0)
+    parser.add_argument("--popularity", type=float, default=0.1)
+    parser.add_argument("--periods", type=int, default=5)
+    parser.add_argument(
+        "--warmup-periods",
+        type=int,
+        default=1 if warmup else 0,
+        help=None if warmup else argparse.SUPPRESS,
+    )
+    parser.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
+    parser.add_argument("--seed", type=int, default=42)
+
+
 def _add_campaign_options(
     parser: argparse.ArgumentParser, default_cache: bool
 ) -> None:
@@ -396,13 +387,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         names = list_experiments()
     else:
         names = [args.name]
-    if args.jobs <= 1 and cache is None:
-        # The legacy direct path: no pool, no cache, no journal.
-        for name in names:
-            print(get_experiment(name)(config).render())
-            if len(names) > 1:
-                print()
-        return 0
     return _run_campaign_plans(
         names, config, jobs=args.jobs, cache=cache
     )
@@ -420,9 +404,12 @@ def _run_campaign_plans(
     progress: bool = False,
     out: Optional[str] = None,
 ) -> int:
-    """Concatenate the experiments' plans into one campaign, run, print."""
+    """Concatenate the experiments' plans into one campaign, run, print.
+
+    Every plan is built before any task runs, so an unknown name fails
+    fast.
+    """
     from repro.campaign.executor import run_campaign
-    from repro.experiments.registry import get_plan
 
     plans = [(name, get_plan(name, config)) for name in names]
     tasks = [task for _, plan in plans for task in plan.tasks]
@@ -470,8 +457,6 @@ def _run_campaign_plans(
 def _cmd_campaign(args: argparse.Namespace) -> int:
     config = quick_config() if args.profile == "quick" else full_config()
     names = [name.strip().lower() for name in args.names] or list_experiments()
-    for name in names:
-        get_experiment(name)  # fail fast on unknown names
     return _run_campaign_plans(
         names,
         config,

@@ -1,18 +1,23 @@
 """Experiment harness: one module per paper table/figure.
 
-Every experiment exposes ``run(config) -> ExperimentResult``; the registry
-maps the paper's artefact names (``fig7``, ``table3``, ...) to them.  The
-benchmarks call these runners and print the same rows/series the paper
-reports, normalised against the always-on method where the paper does so.
+The registry maps the paper's artefact names (``fig7``, ``table3``, ...)
+to experiments, and every experiment runs as
+``run_plan(get_plan(name, config)) -> ExperimentResult``: the sweeps are
+:class:`GridExperiment` declarations (points plus a row builder), the
+rest a ``run(config)`` executed as one task.  The benchmarks run them
+and print the same rows/series the paper reports, normalised against
+the always-on method where the paper does so.
 """
 
-from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.base import ExperimentConfig, ExperimentResult, GridExperiment
+from repro.experiments.registry import EXPERIMENTS, get_experiment, get_plan, list_experiments
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
+    "GridExperiment",
     "get_experiment",
+    "get_plan",
     "list_experiments",
 ]

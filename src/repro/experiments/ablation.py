@@ -21,17 +21,10 @@ metrics the constraints protect.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint, resolve_methods
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.sim.compare import BASELINE_LABEL
 
 VARIANTS: Sequence[str] = (
@@ -43,72 +36,53 @@ VARIANTS: Sequence[str] = (
 )
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     datasets_gb: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The ablation sweep as independent (data set, variant) tasks."""
-    datasets = list(datasets_gb or (4.0, 16.0))
+) -> List[GridPoint]:
+    """One point per data set, under every variant."""
     machine = config.machine()
-    methods = resolve_methods(list(VARIANTS))
-    points = [
-        GridPoint(
-            machine=machine,
-            workload=config.workload(
-                machine, dataset_gb=dataset_gb, seed_offset=600 + index
-            ),
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("dataset_gb", dataset_gb),),
+    methods = resolve_methods(VARIANTS)
+    return [
+        config.point(
+            machine,
+            methods,
+            (("dataset_gb", dataset_gb),),
+            dataset_gb=dataset_gb,
+            seed_offset=600 + index,
         )
-        for index, dataset_gb in enumerate(datasets)
+        for index, dataset_gb in enumerate(datasets_gb or (4.0, 16.0))
     ]
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
 
 
-def run(
-    config: ExperimentConfig,
-    datasets_gb: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """One row per (data set, variant)."""
-    return run_plan(plan(config, datasets_gb))
+def rows(point, by_label):
+    baseline = by_label[BASELINE_LABEL]
+    for label in VARIANTS:
+        result = by_label[label]
+        norm = result.normalized_to(baseline)
+        yield {
+            "variant": label,
+            "total_energy": round(norm.total_energy, 4),
+            "disk_energy": round(norm.disk_energy, 4),
+            "memory_energy": round(norm.memory_energy, 4),
+            "utilization": round(result.utilization, 4),
+            "long_latency_per_s": round(result.long_latency_per_s, 4),
+            "spin_downs": result.spin_down_cycles,
+        }
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        baseline = by_label[BASELINE_LABEL]
-        for label in VARIANTS:
-            result = by_label[label]
-            norm = result.normalized_to(baseline)
-            rows.append(
-                {
-                    "dataset_gb": dict(point.meta)["dataset_gb"],
-                    "variant": label,
-                    "total_energy": round(norm.total_energy, 4),
-                    "disk_energy": round(norm.disk_energy, 4),
-                    "memory_energy": round(norm.memory_energy, 4),
-                    "utilization": round(result.utilization, 4),
-                    "long_latency_per_s": round(result.long_latency_per_s, 4),
-                    "spin_downs": result.spin_down_cycles,
-                }
-            )
-    return ExperimentResult(
-        name="ablation",
-        title="Ablation -- dismantling the joint method (energy vs ALWAYS-ON)",
-        rows=rows,
-        notes=(
-            "Expected: JOINT <= each single-knob variant in total energy; "
-            "JOINT-TO pays full memory power.  JOINT-NC either matches "
-            "JOINT (benign workloads) or falls into the Section IV-D "
-            "pathology -- shrinking memory into a disk-thrashing "
-            "configuration with runaway utilisation and long-latency "
-            "counts, and *worse* energy than the constrained method, "
-            "which is the TCAD paper's argument for the constraints."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="ablation",
+    title="Ablation -- dismantling the joint method (energy vs ALWAYS-ON)",
+    notes=(
+        "Expected: JOINT <= each single-knob variant in total energy; "
+        "JOINT-TO pays full memory power.  JOINT-NC either matches "
+        "JOINT (benign workloads) or falls into the Section IV-D "
+        "pathology -- shrinking memory into a disk-thrashing "
+        "configuration with runaway utilisation and long-latency "
+        "counts, and *worse* energy than the constrained method, "
+        "which is the TCAD paper's argument for the constraints."
+    ),
+    points=points,
+    rows=rows,
+)

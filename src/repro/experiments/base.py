@@ -1,4 +1,4 @@
-"""Shared experiment configuration and result containers.
+"""Shared experiment configuration, result container and grid template.
 
 ``ExperimentConfig`` pins everything an experiment needs: the granularity
 scale, period length, warm-up and measurement windows, workload seed and
@@ -9,6 +9,10 @@ Two profiles are provided: ``full_config()`` approximates the paper's
 setup at granularity 1024, ``quick_config()`` is a down-sized profile for
 tests and fast benchmark smoke runs.  Select via the ``REPRO_PROFILE``
 environment variable (``full`` is the default for benchmarks).
+
+``GridExperiment`` declares a sweep (its points, row builder, name,
+title and notes); :func:`repro.experiments.registry.get_plan` turns it
+into a campaign plan.
 """
 
 from __future__ import annotations
@@ -16,15 +20,15 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.campaign.plan import CampaignPlan, GridPoint, PointRows, grid_plan
+from repro.campaign.tasks import WorkloadSpec
 from repro.config.machine import MachineConfig, paper_machine
 from repro.errors import ConfigError
+from repro.policies.registry import MethodSpec
 from repro.traces.trace import Trace
 from repro.units import MB
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.campaign.tasks import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -103,15 +107,13 @@ class ExperimentConfig:
         seed_offset: int = 0,
         duration_s: Optional[float] = None,
         write_fraction: float = 0.0,
-    ) -> "WorkloadSpec":
+    ) -> WorkloadSpec:
         """The campaign workload spec for one sweep point.
 
         Overrides compare against ``None`` explicitly so an intentional
         ``0.0`` (e.g. zero popularity skew) is not silently replaced by
         the profile default.
         """
-        from repro.campaign.tasks import WorkloadSpec
-
         return WorkloadSpec.for_machine(
             machine,
             dataset_gb=self.dataset_gb if dataset_gb is None else dataset_gb,
@@ -120,6 +122,24 @@ class ExperimentConfig:
             duration_s=self.duration_s if duration_s is None else duration_s,
             seed=self.seed + seed_offset,
             write_fraction=write_fraction,
+        )
+
+    def point(
+        self,
+        machine: MachineConfig,
+        methods: Tuple[MethodSpec, ...],
+        meta: Tuple[Tuple[str, object], ...],
+        **workload: object,
+    ) -> GridPoint:
+        """One sweep point over the profile's window; ``workload`` takes
+        :meth:`workload`'s overrides."""
+        return GridPoint(
+            machine=machine,
+            workload=self.workload(machine, **workload),
+            methods=methods,
+            duration_s=self.duration_s,
+            warmup_s=self.warmup_s,
+            meta=meta,
         )
 
     def make_trace(
@@ -185,3 +205,36 @@ class ExperimentResult:
         if self.notes:
             text += "\n" + self.notes
         return text
+
+
+Rows = List[Dict[str, object]]
+
+
+@dataclass(frozen=True)
+class GridExperiment:
+    """A grid experiment declared as data: its points, rows and labels.
+
+    ``points(config, values=None)`` lays out the sweep, where ``values``
+    (named after the swept axis) replaces the default swept values;
+    ``rows`` builds one point's rows (see
+    :func:`repro.campaign.plan.grid_plan`); ``pivot``, when set, reshapes
+    the finished row list.
+    """
+
+    name: str
+    title: str
+    notes: str
+    points: Callable[..., List[GridPoint]]
+    rows: PointRows
+    pivot: Optional[Callable[[Rows], Rows]] = None
+
+    def plan(self, config: ExperimentConfig, *args, **kwargs) -> CampaignPlan:
+        """The sweep as independent (point, method) simulation tasks;
+        extra arguments go to ``points``."""
+
+        def result(rows: Rows) -> ExperimentResult:
+            if self.pivot is not None:
+                rows = self.pivot(rows)
+            return ExperimentResult(self.name, self.title, rows, self.notes)
+
+        return grid_plan(self.points(config, *args, **kwargs), self.rows, result)

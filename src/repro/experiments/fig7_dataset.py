@@ -14,82 +14,54 @@ utilisation flag them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import CampaignPlan, GridPoint, grid_tasks, split_by_point
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.policies.registry import standard_methods
-from repro.sim.compare import BASELINE_LABEL
+from repro.sim.sweep import comparison_rows
 
 DEFAULT_DATASETS_GB: Sequence[float] = (4.0, 16.0, 32.0, 64.0)
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     datasets_gb: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The Fig. 7 sweep as independent (data set, method) tasks."""
-    datasets = list(datasets_gb or DEFAULT_DATASETS_GB)
+) -> List[GridPoint]:
+    """One point per data set, under the full method comparison."""
     machine = config.machine()
     methods = tuple(standard_methods(fm_sizes_gb=config.fm_sizes_gb))
-    points = [
-        GridPoint(
-            machine=machine,
-            workload=config.workload(
-                machine, dataset_gb=dataset_gb, seed_offset=index
-            ),
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("dataset_gb", dataset_gb),),
+    return [
+        config.point(
+            machine,
+            methods,
+            (("dataset_gb", dataset_gb),),
+            dataset_gb=dataset_gb,
+            seed_offset=index,
         )
-        for index, dataset_gb in enumerate(datasets)
+        for index, dataset_gb in enumerate(datasets_gb or DEFAULT_DATASETS_GB)
     ]
-    return CampaignPlan(tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p))
 
 
-def run(
-    config: ExperimentConfig,
-    datasets_gb: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """Run the Fig. 7 sweep; one row per (data set, method)."""
-    from repro.campaign.plan import run_plan
-
-    return run_plan(plan(config, datasets_gb))
+def rows(point, by_label):
+    """The sweep's comparison rows, flagging disks driven past 100 %."""
+    for row in comparison_rows(point, by_label):
+        row["overloaded"] = by_label[row["method"]].utilization > 1.0
+        yield row
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        baseline = by_label[BASELINE_LABEL]
-        for label, result in by_label.items():
-            norm = result.normalized_to(baseline)
-            rows.append(
-                {
-                    "dataset_gb": dict(point.meta)["dataset_gb"],
-                    "method": label,
-                    "total_energy": round(norm.total_energy, 4),
-                    "disk_energy": round(norm.disk_energy, 4),
-                    "memory_energy": round(norm.memory_energy, 4),
-                    "latency_ms": round(result.mean_latency_s * 1e3, 3),
-                    "utilization": round(result.utilization, 4),
-                    "long_latency_per_s": round(result.long_latency_per_s, 4),
-                    "overloaded": result.utilization > 1.0,
-                }
-            )
-    return ExperimentResult(
-        name="fig7",
-        title=(
-            "Fig. 7 -- energy (normalised to ALWAYS-ON) and performance "
-            "vs data-set size"
-        ),
-        rows=rows,
-        notes=(
-            "Paper shape: JOINT lowest total energy at small data sets; "
-            "FM methods with memory < data set blow up in latency and "
-            "long-latency counts; PD lowest disk energy but >30% memory "
-            "energy."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="fig7",
+    title=(
+        "Fig. 7 -- energy (normalised to ALWAYS-ON) and performance "
+        "vs data-set size"
+    ),
+    notes=(
+        "Paper shape: JOINT lowest total energy at small data sets; "
+        "FM methods with memory < data set blow up in latency and "
+        "long-latency counts; PD lowest disk energy but >30% memory "
+        "energy."
+    ),
+    points=points,
+    rows=rows,
+)

@@ -6,16 +6,10 @@ of data popularity"), popularity ratio 0.05-0.6.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.policies.registry import standard_methods
 from repro.sim.compare import BASELINE_LABEL
 
@@ -23,69 +17,50 @@ DEFAULT_POPULARITIES: Sequence[float] = (0.05, 0.1, 0.2, 0.4, 0.6)
 RATE_MB: float = 5.0
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     popularities: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The Fig. 8(c,d) sweep as independent (popularity, method) tasks."""
-    pops = list(popularities or DEFAULT_POPULARITIES)
+) -> List[GridPoint]:
+    """One point per popularity ratio, under the full method comparison."""
     machine = config.machine()
     methods = tuple(standard_methods(fm_sizes_gb=config.fm_sizes_gb))
-    points = [
-        GridPoint(
-            machine=machine,
-            workload=config.workload(
-                machine,
-                data_rate_mb=RATE_MB,
-                popularity=popularity,
-                seed_offset=200 + index,
-            ),
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("popularity", popularity),),
+    return [
+        config.point(
+            machine,
+            methods,
+            (("popularity", popularity),),
+            data_rate_mb=RATE_MB,
+            popularity=popularity,
+            seed_offset=200 + index,
         )
-        for index, popularity in enumerate(pops)
+        for index, popularity in enumerate(
+            popularities or DEFAULT_POPULARITIES
+        )
     ]
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
 
 
-def run(
-    config: ExperimentConfig,
-    popularities: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """One row per (popularity, method)."""
-    return run_plan(plan(config, popularities))
+def rows(point, by_label):
+    baseline = by_label[BASELINE_LABEL]
+    for label, result in by_label.items():
+        norm = result.normalized_to(baseline)
+        yield {
+            "method": label,
+            "total_energy": round(norm.total_energy, 4),
+            "long_latency_per_s": round(result.long_latency_per_s, 4),
+        }
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        baseline = by_label[BASELINE_LABEL]
-        for label, result in by_label.items():
-            norm = result.normalized_to(baseline)
-            rows.append(
-                {
-                    "popularity": dict(point.meta)["popularity"],
-                    "method": label,
-                    "total_energy": round(norm.total_energy, 4),
-                    "long_latency_per_s": round(result.long_latency_per_s, 4),
-                }
-            )
-    return ExperimentResult(
-        name="fig8pop",
-        title=(
-            "Fig. 8(c,d) -- normalised energy and long-latency requests "
-            "vs popularity (16-GB data set, 5 MB/s)"
-        ),
-        rows=rows,
-        notes=(
-            "Paper shape: JOINT largest savings at dense popularity "
-            "(small hot set -> small memory); methods caching the whole "
-            "data set flat across popularity."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="fig8pop",
+    title=(
+        "Fig. 8(c,d) -- normalised energy and long-latency requests "
+        "vs popularity (16-GB data set, 5 MB/s)"
+    ),
+    notes=(
+        "Paper shape: JOINT largest savings at dense popularity "
+        "(small hot set -> small memory); methods caching the whole "
+        "data set flat across popularity."
+    ),
+    points=points,
+    rows=rows,
+)

@@ -21,19 +21,12 @@ calibration.  A final row runs the 2.5-in laptop-drive preset, whose
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
+from repro.campaign.plan import GridPoint, resolve_methods
 from repro.config.machine import MachineConfig
 from repro.config.presets import laptop_disk
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.sim.compare import BASELINE_LABEL
 from repro.units import GB
 
@@ -85,11 +78,11 @@ def _bend_machine(
     )
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     variants: Optional[Sequence] = None,
-) -> CampaignPlan:
-    """The sensitivity sweep as independent (hardware variant, method) tasks.
+) -> List[GridPoint]:
+    """One JOINT vs ALWAYS-ON point per hardware variant.
 
     Every variant replays the same light, sparse-popularity workload: the
     utilisation constraint stays slack and the miss-ratio curve declines
@@ -98,68 +91,46 @@ def plan(
     """
     base_machine = config.machine()
     methods = resolve_methods(["JOINT", "ALWAYS-ON"])
-    workload = config.workload(
-        base_machine, data_rate_mb=5.0, popularity=0.6, seed_offset=800
-    )
-    points = [
-        GridPoint(
-            machine=_bend_machine(base_machine, memory_factor, disk_factor),
-            workload=workload,
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("variant", label),),
+    return [
+        config.point(
+            _bend_machine(base_machine, memory_factor, disk_factor),
+            methods,
+            (("variant", label),),
+            data_rate_mb=5.0,
+            popularity=0.6,
+            seed_offset=800,
         )
         for label, memory_factor, disk_factor in (variants or DEFAULT_VARIANTS)
     ]
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
 
 
-def run(
-    config: ExperimentConfig,
-    variants: Optional[Sequence] = None,
-) -> ExperimentResult:
-    """One row per hardware variant (joint method, 16-GB workload)."""
-    return run_plan(plan(config, variants))
+def rows(point, by_label):
+    joint = by_label["JOINT"]
+    norm = joint.normalized_to(by_label[BASELINE_LABEL])
+    machine = point.machine
+    chosen_gb = [b / GB for b in joint.decision_memory_bytes]
+    yield {
+        "break_even_mem_gb": round(machine.break_even_memory_bytes / GB, 2),
+        "break_even_time_s": round(machine.disk.break_even_time_s, 2),
+        "final_memory_gb": round(chosen_gb[-1], 2),
+        "mean_memory_gb": round(sum(chosen_gb) / len(chosen_gb), 2),
+        "total_energy": round(norm.total_energy, 4),
+        "spin_downs": joint.spin_down_cycles,
+    }
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        joint = by_label["JOINT"]
-        norm = joint.normalized_to(by_label[BASELINE_LABEL])
-        machine = point.machine
-        chosen_gb = [b / GB for b in joint.decision_memory_bytes]
-        rows.append(
-            {
-                "variant": dict(point.meta)["variant"],
-                "break_even_mem_gb": round(
-                    machine.break_even_memory_bytes / GB, 2
-                ),
-                "break_even_time_s": round(machine.disk.break_even_time_s, 2),
-                "final_memory_gb": round(chosen_gb[-1], 2),
-                "mean_memory_gb": round(
-                    sum(chosen_gb) / len(chosen_gb), 2
-                ),
-                "total_energy": round(norm.total_energy, 4),
-                "spin_downs": joint.spin_down_cycles,
-            }
-        )
-    return ExperimentResult(
-        name="hwsens",
-        title=(
-            "Hardware sensitivity -- the joint method under bent "
-            "break-even constants (16-GB workload)"
-        ),
-        rows=rows,
-        notes=(
-            "Expected: 10x-cheaper memory (or a 4x-hungrier disk) buys "
-            "more cache; 10x-pricier memory pins the manager to the "
-            "miss-ratio knee; ~2x changes move nothing (knee-dominated "
-            "robustness); the laptop drive banks its smaller powers."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="hwsens",
+    title=(
+        "Hardware sensitivity -- the joint method under bent "
+        "break-even constants (16-GB workload)"
+    ),
+    notes=(
+        "Expected: 10x-cheaper memory (or a 4x-hungrier disk) buys "
+        "more cache; 10x-pricier memory pins the manager to the "
+        "miss-ratio knee; ~2x changes move nothing (knee-dominated "
+        "robustness); the laptop drive banks its smaller powers."
+    ),
+    points=points,
+    rows=rows,
+)

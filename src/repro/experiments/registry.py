@@ -1,13 +1,19 @@
-"""Experiment name -> runner mapping."""
+"""Experiment name -> declaration.
+
+Grid experiments are :class:`GridExperiment` declarations that fan out
+into per (point, method) simulation tasks; the rest (fig5, fig9,
+idlefit) are runners that execute whole, as one atomic
+:class:`repro.campaign.tasks.ExperimentTask` -- still cached and
+journaled, just not subdivided.  Either way an experiment runs as
+``run_plan(get_plan(name, config))``.
+"""
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import Callable, Dict, List, Union
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.campaign.plan import CampaignPlan
-
+from repro.campaign.plan import CampaignPlan
+from repro.campaign.tasks import ExperimentTask
 from repro.errors import ReproError
 from repro.experiments import (
     ablation,
@@ -23,28 +29,28 @@ from repro.experiments import (
     table5_bank,
     writes,
 )
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.experiments.base import ExperimentConfig, ExperimentResult, GridExperiment
 
 Runner = Callable[[ExperimentConfig], ExperimentResult]
 
-EXPERIMENTS: Dict[str, Runner] = {
-    "ablation": ablation.run,
+EXPERIMENTS: Dict[str, Union[GridExperiment, Runner]] = {
+    "ablation": ablation.EXPERIMENT,
     "fig5": fig5_pareto.run,
-    "fig7": fig7_dataset.run,
-    "fig8rate": fig8_rate.run,
-    "fig8pop": fig8_popularity.run,
+    "fig7": fig7_dataset.EXPERIMENT,
+    "fig8rate": fig8_rate.EXPERIMENT,
+    "fig8pop": fig8_popularity.EXPERIMENT,
     "fig9": fig9_timeseries.run,
-    "hwsens": hw_sensitivity.run,
+    "hwsens": hw_sensitivity.EXPERIMENT,
     "idlefit": idle_fit.run,
-    "table3": table3_accesses.run,
-    "table4": table4_period.run,
-    "table5": table5_bank.run,
-    "writes": writes.run,
+    "table3": table3_accesses.EXPERIMENT,
+    "table4": table4_period.EXPERIMENT,
+    "table5": table5_bank.EXPERIMENT,
+    "writes": writes.EXPERIMENT,
 }
 
 
-def get_experiment(name: str) -> Runner:
-    """Look up an experiment runner by its paper-artefact name."""
+def get_experiment(name: str) -> Union[GridExperiment, Runner]:
+    """Look up an experiment by its paper-artefact name."""
     key = name.strip().lower()
     if key not in EXPERIMENTS:
         raise ReproError(
@@ -57,23 +63,12 @@ def list_experiments() -> List[str]:
     return sorted(EXPERIMENTS)
 
 
-def get_plan(name: str, config: ExperimentConfig) -> "CampaignPlan":
-    """An experiment's campaign plan: its independent task decomposition.
-
-    Grid experiments export a ``plan()`` that fans out into per
-    (point, method) simulation tasks; the rest (fig5, fig9, idlefit)
-    run as a single atomic :class:`repro.campaign.tasks.ExperimentTask`
-    -- still cached and journaled, just not subdivided.
-    """
-    from repro.campaign.plan import CampaignPlan
-    from repro.campaign.tasks import ExperimentTask
-
+def get_plan(name: str, config: ExperimentConfig) -> CampaignPlan:
+    """An experiment's campaign plan: its independent task decomposition."""
+    experiment = get_experiment(name)
+    if isinstance(experiment, GridExperiment):
+        return experiment.plan(config)
     key = name.strip().lower()
-    runner = get_experiment(key)
-    module = sys.modules[runner.__module__]
-    planner = getattr(module, "plan", None)
-    if planner is not None:
-        return planner(config)
 
     def assemble(payloads) -> ExperimentResult:
         payload = payloads[0]

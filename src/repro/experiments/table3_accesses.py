@@ -9,20 +9,14 @@ shown, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint, resolve_methods
+from repro.experiments.base import ExperimentConfig, GridExperiment, Rows
 from repro.sim.compare import BASELINE_LABEL
 
 DEFAULT_DATASETS_GB: Sequence[float] = (4.0, 16.0, 32.0, 64.0)
+MA_LABEL = "MA (memory accesses)"
 
 
 def _method_names(config: ExperimentConfig) -> List[str]:
@@ -32,72 +26,51 @@ def _method_names(config: ExperimentConfig) -> List[str]:
     return methods
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     datasets_gb: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The Table III sweep as independent (data set, method) tasks."""
-    datasets = list(datasets_gb or DEFAULT_DATASETS_GB)
+) -> List[GridPoint]:
+    """One point per data set, under the methods the paper tabulates."""
     machine = config.machine()
     methods = resolve_methods(_method_names(config))
-    points = [
-        GridPoint(
-            machine=machine,
-            workload=config.workload(
-                machine, dataset_gb=dataset_gb, seed_offset=index
-            ),
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("dataset_gb", dataset_gb),),
+    return [
+        config.point(
+            machine,
+            methods,
+            (("dataset_gb", dataset_gb),),
+            dataset_gb=dataset_gb,
+            seed_offset=index,
         )
-        for index, dataset_gb in enumerate(datasets)
+        for index, dataset_gb in enumerate(datasets_gb or DEFAULT_DATASETS_GB)
     ]
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
 
 
-def run(
-    config: ExperimentConfig,
-    datasets_gb: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """One row per method; one column per data set (plus the MA row)."""
-    return run_plan(plan(config, datasets_gb))
+def rows(point, by_label):
+    """Disk accesses per method, then the workload's memory accesses."""
+    for label, result in by_label.items():
+        yield {"method": label, "accesses": result.disk_page_accesses}
+    yield {"method": MA_LABEL, "accesses": by_label[BASELINE_LABEL].total_accesses}
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    datasets = [dict(point.meta)["dataset_gb"] for point in points]
-    labels = [method.label for method in points[0].methods]
-    disk_accesses: Dict[str, Dict[float, int]] = {m: {} for m in labels}
-    memory_accesses: Dict[float, int] = {}
-    for point, by_label in split_by_point(points, payloads):
-        dataset_gb = dict(point.meta)["dataset_gb"]
-        for label, result in by_label.items():
-            disk_accesses[label][dataset_gb] = result.disk_page_accesses
-        memory_accesses[dataset_gb] = by_label[BASELINE_LABEL].total_accesses
+def pivot(long_rows: Rows) -> Rows:
+    """One row per method (MA last), one column per data set."""
+    table: Dict[object, Dict[str, object]] = {}
+    for row in long_rows:
+        cells = table.setdefault(row["method"], {"method": row["method"]})
+        cells[f"{row['dataset_gb']:g}GB"] = row["accesses"]
+    return list(table.values())
 
-    rows: List[Dict[str, object]] = []
-    for label in labels:
-        row: Dict[str, object] = {"method": label}
-        for dataset_gb in datasets:
-            row[f"{dataset_gb:g}GB"] = disk_accesses[label][dataset_gb]
-        rows.append(row)
-    ma_row: Dict[str, object] = {"method": "MA (memory accesses)"}
-    for dataset_gb in datasets:
-        ma_row[f"{dataset_gb:g}GB"] = memory_accesses[dataset_gb]
-    rows.append(ma_row)
 
-    return ExperimentResult(
-        name="table3",
-        title="Table III -- disk accesses per method and memory accesses",
-        rows=rows,
-        notes=(
-            "Paper shape: disk accesses grow as FM memory falls below the "
-            "data set; PD matches the large-memory miss stream; DS adds "
-            "misses from disabled banks; memory accesses depend only on "
-            "the workload."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="table3",
+    title="Table III -- disk accesses per method and memory accesses",
+    notes=(
+        "Paper shape: disk accesses grow as FM memory falls below the "
+        "data set; PD matches the large-memory miss stream; DS adds "
+        "misses from disabled banks; memory accesses depend only on "
+        "the workload."
+    ),
+    points=points,
+    rows=rows,
+    pivot=pivot,
+)

@@ -8,31 +8,23 @@ not reset at period boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint, resolve_methods
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.sim.compare import BASELINE_LABEL
 
 DEFAULT_PERIODS_MIN: Sequence[float] = (5.0, 10.0, 20.0, 30.0)
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     periods_min: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The Table IV sweep as independent (period, method) tasks."""
-    periods = list(periods_min or DEFAULT_PERIODS_MIN)
+) -> List[GridPoint]:
+    """One JOINT vs ALWAYS-ON point per period length."""
     methods = resolve_methods(["JOINT", "ALWAYS-ON"])
-    points: List[GridPoint] = []
-    for period_min in periods:
+    grid: List[GridPoint] = []
+    for period_min in periods_min or DEFAULT_PERIODS_MIN:
         period_s = period_min * 60.0
         machine = config.machine(period_s=period_s)
         # Keep the measured window comparable across period lengths: use
@@ -42,7 +34,7 @@ def plan(
         duration = max(round(total / period_s), 2) * period_s
         if warm >= duration:
             warm = duration - period_s
-        points.append(
+        grid.append(
             GridPoint(
                 machine=machine,
                 workload=config.workload(
@@ -54,41 +46,28 @@ def plan(
                 meta=(("period_min", period_min),),
             )
         )
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
+    return grid
 
 
-def run(
-    config: ExperimentConfig,
-    periods_min: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """One row per period length."""
-    return run_plan(plan(config, periods_min))
+def joint_rows(point, by_label):
+    """JOINT's energies against ALWAYS-ON and its long-latency rate."""
+    joint = by_label["JOINT"]
+    norm = joint.normalized_to(by_label[BASELINE_LABEL])
+    yield {
+        "total_energy": round(norm.total_energy, 4),
+        "disk_energy": round(norm.disk_energy, 4),
+        "memory_energy": round(norm.memory_energy, 4),
+        "long_latency_per_s": round(joint.long_latency_per_s, 4),
+    }
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        joint = by_label["JOINT"]
-        norm = joint.normalized_to(by_label[BASELINE_LABEL])
-        rows.append(
-            {
-                "period_min": dict(point.meta)["period_min"],
-                "total_energy": round(norm.total_energy, 4),
-                "disk_energy": round(norm.disk_energy, 4),
-                "memory_energy": round(norm.memory_energy, 4),
-                "long_latency_per_s": round(joint.long_latency_per_s, 4),
-            }
-        )
-    return ExperimentResult(
-        name="table4",
-        title="Table IV -- joint method vs period length (energy vs ALWAYS-ON)",
-        rows=rows,
-        notes=(
-            "Paper shape: nearly flat across period lengths (the LRU list "
-            "is not reset every period)."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="table4",
+    title="Table IV -- joint method vs period length (energy vs ALWAYS-ON)",
+    notes=(
+        "Paper shape: nearly flat across period lengths (the LRU list "
+        "is not reset every period)."
+    ),
+    points=points,
+    rows=joint_rows,
+)

@@ -8,78 +8,40 @@ the memory because the chosen memory rounds up to coarser units.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
-from repro.sim.compare import BASELINE_LABEL
+from repro.campaign.plan import GridPoint, resolve_methods
+from repro.experiments.base import ExperimentConfig, GridExperiment
+from repro.experiments.table4_period import joint_rows
 
 DEFAULT_BANKS_MB: Sequence[int] = (16, 64, 256, 1024)
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     banks_mb: Optional[Sequence[int]] = None,
-) -> CampaignPlan:
-    """The Table V sweep as independent (bank size, method) tasks."""
-    banks = list(banks_mb or DEFAULT_BANKS_MB)
+) -> List[GridPoint]:
+    """One JOINT vs ALWAYS-ON point per bank size."""
     methods = resolve_methods(["JOINT", "ALWAYS-ON"])
-    points: List[GridPoint] = []
-    for bank_mb in banks:
-        machine = config.machine(bank_mb=bank_mb)
-        points.append(
-            GridPoint(
-                machine=machine,
-                workload=config.workload(machine, seed_offset=400),
-                methods=methods,
-                duration_s=config.duration_s,
-                warmup_s=config.warmup_s,
-                meta=(("bank_mb", bank_mb),),
-            )
+    return [
+        config.point(
+            config.machine(bank_mb=bank_mb),
+            methods,
+            (("bank_mb", bank_mb),),
+            seed_offset=400,
         )
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
+        for bank_mb in banks_mb or DEFAULT_BANKS_MB
+    ]
 
 
-def run(
-    config: ExperimentConfig,
-    banks_mb: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
-    """One row per bank size."""
-    return run_plan(plan(config, banks_mb))
-
-
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        joint = by_label["JOINT"]
-        norm = joint.normalized_to(by_label[BASELINE_LABEL])
-        rows.append(
-            {
-                "bank_mb": dict(point.meta)["bank_mb"],
-                "total_energy": round(norm.total_energy, 4),
-                "disk_energy": round(norm.disk_energy, 4),
-                "memory_energy": round(norm.memory_energy, 4),
-                "long_latency_per_s": round(joint.long_latency_per_s, 4),
-            }
-        )
-    return ExperimentResult(
-        name="table5",
-        title="Table V -- joint method vs memory bank size (energy vs ALWAYS-ON)",
-        rows=rows,
-        notes=(
-            "Paper shape: total energy and long-latency nearly constant; "
-            "with larger banks the memory share grows slightly and the "
-            "disk share falls."
-        ),
-    )
+EXPERIMENT = GridExperiment(
+    name="table5",
+    title="Table V -- joint method vs memory bank size (energy vs ALWAYS-ON)",
+    notes=(
+        "Paper shape: total energy and long-latency nearly constant; "
+        "with larger banks the memory share grows slightly and the "
+        "disk share falls."
+    ),
+    points=points,
+    rows=joint_rows,
+)

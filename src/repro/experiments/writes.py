@@ -12,17 +12,10 @@ multiply spin-down cycles and wake delays for aggressive policies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.campaign.plan import (
-    CampaignPlan,
-    GridPoint,
-    grid_tasks,
-    resolve_methods,
-    run_plan,
-    split_by_point,
-)
-from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.campaign.plan import GridPoint, resolve_methods
+from repro.experiments.base import ExperimentConfig, GridExperiment
 from repro.sim.compare import BASELINE_LABEL
 
 DEFAULT_WRITE_FRACTIONS: Sequence[float] = (0.0, 0.05, 0.2)
@@ -30,74 +23,55 @@ METHODS: Sequence[str] = ("JOINT", "2TFM-16GB", "ADFM-16GB", "ALWAYS-ON")
 RATE_MB: float = 20.0
 
 
-def plan(
+def points(
     config: ExperimentConfig,
     write_fractions: Optional[Sequence[float]] = None,
-) -> CampaignPlan:
-    """The write sweep as independent (write fraction, method) tasks."""
-    fractions = list(write_fractions or DEFAULT_WRITE_FRACTIONS)
+) -> List[GridPoint]:
+    """One point per write fraction."""
     machine = config.machine()
-    methods = resolve_methods(list(METHODS))
-    points = [
-        GridPoint(
-            machine=machine,
-            workload=config.workload(
-                machine,
-                data_rate_mb=RATE_MB,
-                seed_offset=700 + index,
-                write_fraction=fraction,
-            ),
-            methods=methods,
-            duration_s=config.duration_s,
-            warmup_s=config.warmup_s,
-            meta=(("write_fraction", fraction),),
+    methods = resolve_methods(METHODS)
+    return [
+        config.point(
+            machine,
+            methods,
+            (("write_fraction", fraction),),
+            data_rate_mb=RATE_MB,
+            seed_offset=700 + index,
+            write_fraction=fraction,
         )
-        for index, fraction in enumerate(fractions)
+        for index, fraction in enumerate(
+            write_fractions or DEFAULT_WRITE_FRACTIONS
+        )
     ]
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
 
 
-def run(
-    config: ExperimentConfig,
-    write_fractions: Optional[Sequence[float]] = None,
-) -> ExperimentResult:
-    """One row per (write fraction, method)."""
-    return run_plan(plan(config, write_fractions))
+def rows(point, by_label):
+    baseline = by_label[BASELINE_LABEL]
+    for label in METHODS:
+        result = by_label[label]
+        norm = result.normalized_to(baseline)
+        yield {
+            "method": label,
+            "total_energy": round(norm.total_energy, 4),
+            "disk_energy": round(norm.disk_energy, 4),
+            "writeback_pages": result.disk_write_pages,
+            "spin_downs": result.spin_down_cycles,
+            "wake_long_latency": result.wake_long_latency,
+        }
 
 
-def _assemble(
-    points: Sequence[GridPoint], payloads: Sequence[Mapping[str, object]]
-) -> ExperimentResult:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        baseline = by_label[BASELINE_LABEL]
-        for label in METHODS:
-            result = by_label[label]
-            norm = result.normalized_to(baseline)
-            rows.append(
-                {
-                    "write_fraction": dict(point.meta)["write_fraction"],
-                    "method": label,
-                    "total_energy": round(norm.total_energy, 4),
-                    "disk_energy": round(norm.disk_energy, 4),
-                    "writeback_pages": result.disk_write_pages,
-                    "spin_downs": result.spin_down_cycles,
-                    "wake_long_latency": result.wake_long_latency,
-                }
-            )
-    return ExperimentResult(
-        name="writes",
-        title=(
-            "Write-traffic extension -- energy and spin-down behaviour "
-            "vs write fraction (16-GB set, 20 MB/s)"
-        ),
-        notes=(
-            "Expected: write-back pages grow with the write fraction; "
-            "the flusher keeps breaking idleness, so spin-down-happy "
-            "policies cycle more; normalised savings shrink as writes "
-            "grow."
-        ),
-        rows=rows,
-    )
+EXPERIMENT = GridExperiment(
+    name="writes",
+    title=(
+        "Write-traffic extension -- energy and spin-down behaviour "
+        "vs write fraction (16-GB set, 20 MB/s)"
+    ),
+    notes=(
+        "Expected: write-back pages grow with the write fraction; "
+        "the flusher keeps breaking idleness, so spin-down-happy "
+        "policies cycle more; normalised savings shrink as writes "
+        "grow."
+    ),
+    points=points,
+    rows=rows,
+)

@@ -27,8 +27,58 @@ class RegretSummary:
     energy_ratio: float
 
 
+class RunTotals:
+    """The totals derived from a run's scalar fields.
+
+    One definition for :class:`SimResult` and the campaign's
+    :class:`repro.campaign.tasks.SimSummary`, so rows assembled from
+    either agree bit for bit.
+    """
+
+    label: str
+    duration_s: float
+    memory_energy_j: float
+    disk_energy_j: float
+    total_accesses: int
+    disk_page_accesses: int
+    mean_latency_s: float
+    long_latency: int
+    utilization: float
+
+    @property
+    def total_energy_j(self) -> float:
+        return self.memory_energy_j + self.disk_energy_j
+
+    @property
+    def long_latency_per_s(self) -> float:
+        if self.duration_s <= 0:
+            return 0.0
+        return self.long_latency / self.duration_s
+
+    @property
+    def miss_ratio(self) -> float:
+        if self.total_accesses == 0:
+            return 0.0
+        return self.disk_page_accesses / self.total_accesses
+
+    def normalized_to(self, baseline: "RunTotals") -> "NormalizedResult":
+        """Energies as fractions of a baseline run (the always-on method)."""
+        def ratio(x: float, base: float) -> float:
+            return x / base if base > 0 else 0.0
+
+        return NormalizedResult(
+            label=self.label,
+            total_energy=ratio(self.total_energy_j, baseline.total_energy_j),
+            disk_energy=ratio(self.disk_energy_j, baseline.disk_energy_j),
+            memory_energy=ratio(self.memory_energy_j, baseline.memory_energy_j),
+            mean_latency_s=self.mean_latency_s,
+            utilization=self.utilization,
+            long_latency_per_s=self.long_latency_per_s,
+        )
+
+
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(RunTotals):
     """Outcome of running one power-management method on one trace."""
 
     label: str
@@ -64,41 +114,10 @@ class SimResult:
     regret: Optional[RegretSummary] = None
 
     @property
-    def total_energy_j(self) -> float:
-        return self.memory_energy_j + self.disk_energy_j
-
-    @property
-    def long_latency_per_s(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.long_latency / self.duration_s
-
-    @property
-    def miss_ratio(self) -> float:
-        if self.total_accesses == 0:
-            return 0.0
-        return self.disk_page_accesses / self.total_accesses
-
-    @property
     def average_power_w(self) -> float:
         if self.duration_s <= 0:
             return 0.0
         return self.total_energy_j / self.duration_s
-
-    def normalized_to(self, baseline: "SimResult") -> "NormalizedResult":
-        """Energies as fractions of a baseline run (the always-on method)."""
-        def ratio(x: float, base: float) -> float:
-            return x / base if base > 0 else 0.0
-
-        return NormalizedResult(
-            label=self.label,
-            total_energy=ratio(self.total_energy_j, baseline.total_energy_j),
-            disk_energy=ratio(self.disk_energy_j, baseline.disk_energy_j),
-            memory_energy=ratio(self.memory_energy_j, baseline.memory_energy_j),
-            mean_latency_s=self.mean_latency_s,
-            utilization=self.utilization,
-            long_latency_per_s=self.long_latency_per_s,
-        )
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.campaign.plan import CampaignPlan, GridPoint, grid_tasks, run_plan, split_by_point
+from repro.campaign.plan import CampaignPlan, GridPoint, grid_plan, resolve_methods, run_plan
 from repro.campaign.tasks import WorkloadSpec
 from repro.config.machine import MachineConfig
 from repro.errors import ReproError
@@ -92,9 +92,9 @@ def sweep_plan(
     deduplication.  ``defaults`` fills the parameters not swept.
     """
     clean = _validate_and_dedupe(grid)
-    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    specs = resolve_methods(methods)
     if BASELINE_LABEL not in {spec.label for spec in specs}:
-        specs = specs + [parse_method(BASELINE_LABEL)]
+        specs += (parse_method(BASELINE_LABEL),)
 
     base = {
         "dataset_gb": 16.0,
@@ -122,39 +122,30 @@ def sweep_plan(
             GridPoint(
                 machine=machine,
                 workload=workload,
-                methods=tuple(specs),
+                methods=specs,
                 duration_s=duration_s,
                 warmup_s=warmup_s,
                 meta=tuple((key, point[key]) for key in keys),
             )
         )
-    return CampaignPlan(
-        tasks=grid_tasks(points), assemble=lambda p: _assemble(points, p)
-    )
+    return grid_plan(points, comparison_rows)
 
 
-def _assemble(points, payloads) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for point, by_label in split_by_point(points, payloads):
-        baseline = by_label[BASELINE_LABEL]
-        for label, result in by_label.items():
-            normalized = result.normalized_to(baseline)
-            row: Dict[str, object] = dict(point.meta)
-            row.update(
-                {
-                    "method": label,
-                    "total_energy": round(normalized.total_energy, 4),
-                    "disk_energy": round(normalized.disk_energy, 4),
-                    "memory_energy": round(normalized.memory_energy, 4),
-                    "latency_ms": round(result.mean_latency_s * 1e3, 3),
-                    "utilization": round(result.utilization, 4),
-                    "long_latency_per_s": round(
-                        result.long_latency_per_s, 4
-                    ),
-                }
-            )
-            rows.append(row)
-    return rows
+def comparison_rows(point, by_label) -> Iterator[Dict[str, object]]:
+    """One row per method: energies normalised to the always-on run,
+    then the performance columns."""
+    baseline = by_label[BASELINE_LABEL]
+    for label, result in by_label.items():
+        normalized = result.normalized_to(baseline)
+        yield {
+            "method": label,
+            "total_energy": round(normalized.total_energy, 4),
+            "disk_energy": round(normalized.disk_energy, 4),
+            "memory_energy": round(normalized.memory_energy, 4),
+            "latency_ms": round(result.mean_latency_s * 1e3, 3),
+            "utilization": round(result.utilization, 4),
+            "long_latency_per_s": round(result.long_latency_per_s, 4),
+        }
 
 
 def sweep(

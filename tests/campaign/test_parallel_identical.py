@@ -40,7 +40,9 @@ class TestParallelIdentical:
     def test_experiment_rows_byte_identical_across_jobs(self):
         from repro.experiments import writes
 
-        plan = writes.plan(_mini_config(), write_fractions=[0.0, 0.1])
+        plan = writes.EXPERIMENT.plan(
+            _mini_config(), write_fractions=[0.0, 0.1]
+        )
         serial = run_campaign(plan.tasks, jobs=1)
         parallel = run_campaign(plan.tasks, jobs=2)
         assert serial.ok and parallel.ok
@@ -55,7 +57,7 @@ class TestResumeRecomputesNothing:
     def test_completed_tasks_all_come_back_cached(self, tmp_path):
         from repro.experiments import ablation
 
-        plan = ablation.plan(_mini_config(), datasets_gb=[4.0])
+        plan = ablation.EXPERIMENT.plan(_mini_config(), datasets_gb=[4.0])
         cache = ResultCache(tmp_path / "cache")
         first = run_campaign(plan.tasks, cache=cache, run_id="seed-run")
         assert first.ok and first.stats.executed == len(plan.tasks)
@@ -70,7 +72,7 @@ class TestResumeRecomputesNothing:
     def test_warm_cache_hit_ratio_meets_acceptance_bar(self, tmp_path):
         from repro.experiments import ablation
 
-        plan = ablation.plan(_mini_config(), datasets_gb=[4.0])
+        plan = ablation.EXPERIMENT.plan(_mini_config(), datasets_gb=[4.0])
         cache = ResultCache(tmp_path / "cache")
         run_campaign(plan.tasks, cache=cache)
         warm = run_campaign(plan.tasks, cache=cache)

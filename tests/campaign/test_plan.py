@@ -97,10 +97,12 @@ class TestExperimentPlans:
         from repro.experiments import ablation
         from repro.experiments.registry import get_plan
 
-        direct = ablation.run(mini_config, datasets_gb=[4.0])
+        direct = run_plan(
+            ablation.EXPERIMENT.plan(mini_config, datasets_gb=[4.0])
+        )
         plan = get_plan("ablation", mini_config)
         # ablation's default datasets differ; re-plan with the same subset.
-        plan = ablation.plan(mini_config, datasets_gb=[4.0])
+        plan = ablation.EXPERIMENT.plan(mini_config, datasets_gb=[4.0])
         report = run_campaign(plan.tasks, jobs=1)
         assert report.ok
         assembled = plan.assemble(report.payloads())
