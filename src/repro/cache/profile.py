@@ -199,7 +199,15 @@ class TraceProfile:
 
 
 def trace_fingerprint(trace) -> str:
-    """SHA-256 over the arrays that determine the profile."""
+    """SHA-256 over the arrays that determine the profile.
+
+    Hashed once per immutable trace (:meth:`Trace.derived`), so the tasks
+    sharing a campaign's frozen trace pay for one pass.
+    """
+    return trace.derived("fingerprint", _hash_trace)
+
+
+def _hash_trace(trace) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(trace.times, dtype=np.float64).tobytes())
     h.update(b"\0")

@@ -36,7 +36,12 @@ from repro.cache import profile as trace_profiles
 from repro.campaign.cache import NullCache, ResultCache
 from repro.campaign.hashing import code_fingerprint, digest
 from repro.campaign.journal import SUMMARY_NAME, RunJournal, completed_payloads
-from repro.campaign.tasks import Task, timed_execute
+from repro.campaign.tasks import (
+    Task,
+    sharing_traces,
+    start_sharing_traces,
+    timed_execute,
+)
 
 #: How a task's result was obtained.
 SOURCE_EXECUTED = "executed"
@@ -83,6 +88,9 @@ class CampaignStats:
     jobs: int = 1
     elapsed_s: float = 0.0
     busy_s: float = 0.0
+    #: Traces built by the tasks executed in this process (serial runs;
+    #: None when a pool executed them).
+    trace_builds: Optional[int] = None
 
     @property
     def hits(self) -> int:
@@ -220,6 +228,7 @@ class CampaignReport:
             "retries": s.retries,
             "elapsed_s": round(s.elapsed_s, 6),
             "busy_s": round(s.busy_s, 6),
+            "trace_builds": s.trace_builds,
             "speedup": round(s.speedup, 4),
             "worker_utilization": round(s.utilization, 4),
             "replay_modes": self.replay_mode_counts(),
@@ -324,7 +333,10 @@ def run_campaign(
         TaskRecord(index=i, key=key, kind=task.kind, label=task.describe())
         for i, (task, key) in enumerate(zip(tasks, keys))
     ]
-    stats = CampaignStats(tasks=len(tasks), jobs=jobs, retries=0)
+    stats = CampaignStats(
+        tasks=len(tasks), jobs=jobs, retries=0,
+        trace_builds=0 if jobs <= 1 else None,
+    )
 
     # Unique keys, first occurrence wins; later duplicates are dedup hits.
     first_index: Dict[str, int] = {}
@@ -437,16 +449,19 @@ def run_campaign(
 
     # 3: execute what is left.  While tasks run, point the trace-profile
     # layer at the campaign's result cache so every sweep point, method
-    # and later resumed run shares one stack-distance pass per trace.
+    # and later resumed run shares one stack-distance pass per trace,
+    # and let the tasks of one workload share its built trace.
     todo = [key for key in first_index if key not in resolved]
     if todo:
         previous_backend = _install_profile_cache(cache)
         try:
             if jobs <= 1:
-                _execute_serial(
-                    todo, tasks, first_index, retries, backoff_s,
-                    finish_key, fail_key, stats,
-                )
+                with sharing_traces() as shared:
+                    _execute_serial(
+                        todo, tasks, first_index, retries, backoff_s,
+                        finish_key, fail_key, stats,
+                    )
+                stats.trace_builds = shared.builds
             else:
                 _execute_parallel(
                     todo, tasks, first_index, jobs, retries, backoff_s,
@@ -509,8 +524,10 @@ def _install_profile_cache(cache) -> Any:
     return trace_profiles.set_active_cache(cache)
 
 
-def _pool_profile_initializer(cache_root: Optional[str]) -> None:
-    """Worker-process bootstrap: share the profile cache across the pool."""
+def _pool_initializer(cache_root: Optional[str]) -> None:
+    """Worker-process bootstrap: share the profile cache across the pool,
+    and built traces between the tasks of this worker."""
+    start_sharing_traces()
     if cache_root:
         trace_profiles.set_active_cache(cache_root)
 
@@ -572,7 +589,7 @@ def _execute_parallel(
         retry: List[str] = []
         pool = ProcessPoolExecutor(
             max_workers=jobs,
-            initializer=_pool_profile_initializer,
+            initializer=_pool_initializer,
             initargs=(
                 str(profile_cache_root)
                 if profile_cache_root is not None

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.policies.registry import MethodSpec
@@ -84,6 +85,64 @@ class WorkloadSpec:
             file_scale=self.file_scale,
             write_fraction=self.write_fraction,
         )
+
+
+# --- the shared trace --------------------------------------------------------
+
+
+class SharedTraces:
+    """The traces one campaign run's tasks share: one entry, by spec.
+
+    Tasks are planned point-major (:func:`repro.campaign.plan.grid_tasks`),
+    so the methods of one point run back to back and one entry serves
+    them all.  Each trace is frozen (:meth:`Trace.freeze`): no task can
+    change another's input, and its fingerprint and warm-start pages
+    are computed once.
+    """
+
+    def __init__(self) -> None:
+        self.entry: Optional[Tuple[WorkloadSpec, Trace]] = None
+        #: Traces built through this memo.
+        self.builds = 0
+
+    def get(self, spec: WorkloadSpec) -> Trace:
+        if self.entry is not None and self.entry[0] == spec:
+            return self.entry[1]
+        self.entry = None  # drop the old trace before building the next
+        trace = spec.build().freeze()
+        self.builds += 1
+        self.entry = (spec, trace)
+        return trace
+
+
+#: The memo of the ``run_campaign`` call in progress; None outside one,
+#: where every task builds its own trace.
+_shared: Optional[SharedTraces] = None
+
+
+@contextmanager
+def sharing_traces() -> Iterator[SharedTraces]:
+    """Share traces between the tasks run in the ``with`` body."""
+    global _shared
+    previous, _shared = _shared, SharedTraces()
+    try:
+        yield _shared
+    finally:
+        _shared.entry = None
+        _shared = previous
+
+
+def start_sharing_traces() -> None:
+    """Share traces for the rest of this process (a pool worker's life)."""
+    global _shared
+    _shared = SharedTraces()
+
+
+def shared_trace(spec: WorkloadSpec) -> Trace:
+    """``spec``'s trace, from the running campaign's memo when there is one."""
+    if _shared is None:
+        return spec.build()
+    return _shared.get(spec)
 
 
 # --- result summary ----------------------------------------------------------
@@ -227,7 +286,7 @@ class SimTask:
     def execute(self) -> Dict[str, Any]:
         from repro.sim.runner import run_method
 
-        trace = self.workload.build()
+        trace = shared_trace(self.workload)
         result = run_method(
             self.method,
             trace,

@@ -199,11 +199,18 @@ def merge_tenant_traces(
                 f"({int(trace.pages.max())} >= {page_span})"
             )
         times_parts.append(trace.times)
-        pages_parts.append(trace.pages + global_index * page_span)
+        pages_parts.append(
+            _offset(trace.pages, global_index * page_span, global_index, "pages")
+        )
         if trace.files is None:
             has_files = False
         else:
-            files_parts.append(trace.files + global_index * TENANT_FILE_SPAN)
+            files_parts.append(
+                _offset(
+                    trace.files, global_index * TENANT_FILE_SPAN,
+                    global_index, "file ids",
+                )
+            )
     times = np.concatenate(times_parts)
     pages = np.concatenate(pages_parts)
     order = np.argsort(times, kind="stable")
@@ -221,6 +228,17 @@ def merge_tenant_traces(
             "tenants": len(tenants),
         },
     )
+
+
+def _offset(values: np.ndarray, offset: int, tenant: int, what: str) -> np.ndarray:
+    """``values + offset``, refusing a sum that int64 would wrap."""
+    top = int(values.max()) if values.size else 0
+    if top + offset > np.iinfo(np.int64).max:
+        raise SimulationError(
+            f"tenant {tenant}'s {what} overflow int64 after its offset "
+            f"({top} + {offset})"
+        )
+    return values + offset
 
 
 def _shard_pages_per_disk(page_span: int, num_tenants: int, disks: int) -> int:

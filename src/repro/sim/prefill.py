@@ -21,7 +21,20 @@ from repro.traces.trace import Trace
 
 
 def warm_start_pages(trace: Trace, min_accesses: int = 2) -> List[int]:
-    """Pages to prefill, coldest first (insert in order; last = MRU)."""
+    """Pages to prefill, coldest first (insert in order; last = MRU).
+
+    Computed once per immutable trace (:meth:`Trace.derived`); every
+    caller gets its own list.
+    """
+    return list(
+        trace.derived(
+            f"warm_start_pages/{min_accesses}",
+            lambda t: _warm_start_pages(t, min_accesses),
+        )
+    )
+
+
+def _warm_start_pages(trace: Trace, min_accesses: int) -> List[int]:
     if trace.num_accesses == 0:
         return []
     pages, counts = np.unique(trace.pages, return_counts=True)

@@ -8,13 +8,15 @@ management.  Stored as parallel numpy arrays for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Type
+from typing import Callable, Dict, Optional, Type, TypeVar
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.traces.zipf import MASS_FRACTION
 from repro.units import PAGE_SIZE
+
+T = TypeVar("T")
 
 
 def validate_accesses(
@@ -143,6 +145,49 @@ class Trace:
         cum = np.cumsum(counts[order]) / counts.sum()
         needed = int(np.searchsorted(cum, mass_fraction, side="left")) + 1
         return needed / counts.size
+
+    # --- immutability and derived values --------------------------------------
+
+    def _arrays(self):
+        arrays = (self.times, self.pages, self.writes, self.files)
+        return [array for array in arrays if array is not None]
+
+    def freeze(self) -> "Trace":
+        """Make every array, and every array it views, read-only in place.
+
+        A frozen trace can be shared by readers that must not see each
+        other's edits, and it keeps its derived values (:meth:`derived`).
+        """
+        for array in self._arrays():
+            while isinstance(array, np.ndarray):
+                array.setflags(write=False)
+                array = array.base
+        return self
+
+    @property
+    def immutable(self) -> bool:
+        """True when every array is read-only down to the one owning its data."""
+        for array in self._arrays():
+            while isinstance(array, np.ndarray):
+                if array.flags.writeable:
+                    return False
+                array = array.base
+            if array is not None and not isinstance(array, bytes):
+                return False
+        return True
+
+    def derived(self, name: str, compute: Callable[["Trace"], T]) -> T:
+        """``compute(self)``, kept under ``name`` while the trace is immutable.
+
+        A writable trace recomputes on every call, so an in-place edit is
+        never masked by a stale value.
+        """
+        if not self.immutable:
+            return compute(self)
+        values = self.__dict__.setdefault("_derived", {})
+        if name not in values:
+            values[name] = compute(self)
+        return values[name]
 
     def slice_time(self, start_s: float, end_s: float) -> "Trace":
         """Sub-trace with accesses in ``[start_s, end_s)``, times preserved."""

@@ -143,6 +143,52 @@ class TestContentAddress:
         )
 
 
+class TestFingerprintCache:
+    """Fingerprints are kept only on traces whose arrays cannot change."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        original = profile_mod._hash_trace
+
+        def counting(trace):
+            calls.append(trace)
+            return original(trace)
+
+        monkeypatch.setattr(profile_mod, "_hash_trace", counting)
+        return calls
+
+    def test_frozen_trace_hashed_once(self, hashes):
+        writable = make_trace(seed=7)
+        frozen = make_trace(seed=7).freeze()
+        assert profile_mod.trace_fingerprint(frozen) == (
+            profile_mod.trace_fingerprint(writable)
+        )
+        assert profile_key(frozen, True) == profile_key(frozen, True)
+        assert len(hashes) == 2  # one per trace
+
+    def test_in_place_edit_changes_a_writable_fingerprint(self, hashes):
+        trace = make_trace(seed=7)
+        before = profile_mod.trace_fingerprint(trace)
+        key = profile_key(trace, True)
+        trace.pages[0] += 1
+        assert profile_mod.trace_fingerprint(trace) != before
+        assert profile_key(trace, True) != key
+        assert len(hashes) == 4
+
+    def test_read_only_view_of_writable_base_not_cached(self, hashes):
+        source = make_trace(seed=7)
+        base = source.pages.copy()
+        view = base[:]
+        view.setflags(write=False)
+        trace = Trace(times=source.times, pages=view, page_size=4096)
+        trace.times.setflags(write=False)
+        assert trace.pages is view and not trace.immutable
+        before = profile_mod.trace_fingerprint(trace)
+        base[0] += 1
+        assert profile_mod.trace_fingerprint(trace) != before
+
+
 class TestPayload:
     def test_round_trip(self):
         trace = make_trace(seed=7)

@@ -349,3 +349,34 @@ class TestTelemetry:
         assert report.replay_mode_counts() == {"missrun": 1}
         summary = report.payloads()[0]["summary"]
         assert summary["replay_mode"] == "missrun"
+
+    def test_trace_builds_reported(self, tmp_path, fast_machine):
+        """Serial runs count the traces their tasks built; pools report none."""
+        import json
+
+        from repro.campaign.tasks import SimTask, WorkloadSpec
+        from repro.policies.registry import parse_method
+
+        workload = WorkloadSpec.for_machine(
+            fast_machine, dataset_gb=2.0, rate_mb=20.0, popularity=0.2,
+            duration_s=240.0, seed=3,
+        )
+        tasks = [
+            SimTask(
+                method=parse_method(name), machine=fast_machine,
+                workload=workload, duration_s=240.0,
+            )
+            for name in ("2TFM-4GB", "ALWAYS-ON")
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        report = run_campaign(tasks, cache=cache, run_id="built")
+        assert report.ok and report.stats.trace_builds == 1
+        summary = json.loads((report.run_dir / "campaign.json").read_text())
+        assert summary["trace_builds"] == 1
+
+        warm = run_campaign(tasks, cache=cache)
+        assert warm.stats.executed == 0 and warm.stats.trace_builds == 0
+
+        pooled = run_campaign([AddTask(1, 2), AddTask(2, 3)], jobs=2)
+        assert pooled.ok and pooled.stats.trace_builds is None
+        assert pooled.telemetry()["trace_builds"] is None

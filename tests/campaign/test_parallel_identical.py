@@ -53,6 +53,32 @@ class TestParallelIdentical:
         )
 
 
+    def test_shared_trace_payloads_identical_across_jobs(self, fast_machine):
+        """One point, several methods: the serial run shares one trace
+        between its tasks, each pool worker builds its own."""
+        from repro.campaign.plan import GridPoint, grid_tasks, resolve_methods
+        from repro.campaign.tasks import WorkloadSpec
+
+        point = GridPoint(
+            machine=fast_machine,
+            workload=WorkloadSpec.for_machine(
+                fast_machine, dataset_gb=2.0, rate_mb=20.0, popularity=0.2,
+                duration_s=240.0, seed=5,
+            ),
+            methods=resolve_methods(
+                ["JOINT", "2TFM-8GB", "ADPD", "2TDS", "ALWAYS-ON"]
+            ),
+            duration_s=240.0,
+            warmup_s=120.0,
+        )
+        tasks = grid_tasks([point])
+        serial = run_campaign(tasks, jobs=1)
+        parallel = run_campaign(tasks, jobs=2)
+        assert serial.ok and parallel.ok
+        assert serial.stats.trace_builds == 1
+        assert parallel.payloads() == serial.payloads()
+
+
 class TestResumeRecomputesNothing:
     def test_completed_tasks_all_come_back_cached(self, tmp_path):
         from repro.experiments import ablation

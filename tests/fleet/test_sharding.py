@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.fleet.sharding import (
     tenant_page_span,
 )
 from repro.policies.registry import parse_method
+from repro.traces.trace import Trace
 
 
 def _tenants(machine, count=3, duration=240.0):
@@ -97,6 +99,26 @@ class TestMergeTenantTraces:
         tenants = _tenants(fast_machine, count=1)
         with pytest.raises(SimulationError):
             merge_tenant_traces(tenants, (0,), 1, fast_machine.page_bytes)
+
+    @pytest.mark.parametrize(
+        "pages, index, span, what",
+        [
+            ([5, 2**62], 1, 3 * 2**61, "pages"),
+            ([5, 6], 2**31, 10, "file ids"),
+        ],
+    )
+    def test_int64_overflow_after_offset_is_an_error(self, pages, index, span, what):
+        """numpy would wrap the offset sum silently into colliding or
+        negative ids; the merge names the tenant instead."""
+        trace = Trace(
+            times=np.array([0.0, 1.0]),
+            pages=np.array(pages, dtype=np.int64),
+            files=np.array([5, 6], dtype=np.int64),
+            page_size=4096,
+        )
+        tenant = SimpleNamespace(build=lambda: trace)
+        with pytest.raises(SimulationError, match=f"tenant {index}'s {what}"):
+            merge_tenant_traces([tenant], (index,), span, 4096)
 
     def test_misaligned_indices_rejected(self, fast_machine):
         tenants = _tenants(fast_machine, count=2)

@@ -101,3 +101,42 @@ class TestMeta:
         updated = trace.with_meta(b=2)
         assert updated.meta == {"a": 1, "b": 2}
         assert trace.meta == {"a": 1}
+
+
+class TestFreeze:
+    def test_freeze_makes_arrays_and_bases_read_only(self):
+        base = np.arange(6, dtype=np.int64)
+        trace = make_trace(
+            [0.0, 1.0, 2.0], base[:3], writes=[True, False, True],
+            files=[0, 0, 1],
+        )
+        assert not trace.immutable
+        assert trace.freeze() is trace
+        assert trace.immutable
+        assert not base.flags.writeable
+        for array in (trace.times, trace.pages, trace.writes, trace.files):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_read_only_owner_and_bytes_buffer_are_immutable(self):
+        times = np.arange(3, dtype=float)
+        times.setflags(write=False)
+        pages = np.frombuffer(np.arange(3, dtype=np.int64).tobytes(), dtype=np.int64)
+        assert Trace(times=times, pages=pages).immutable
+
+    def test_derived_kept_only_while_immutable(self):
+        calls = []
+
+        def count(trace):
+            calls.append(trace)
+            return int(trace.pages.sum())
+
+        trace = make_trace([0.0, 1.0], [1, 2])
+        assert trace.derived("sum", count) == trace.derived("sum", count) == 3
+        assert len(calls) == 2
+        trace.freeze()
+        assert trace.derived("sum", count) == trace.derived("sum", count) == 3
+        assert len(calls) == 3
+        # A copy (new meta) is a new trace with its own values.
+        assert trace.with_meta(x=1).derived("sum", count) == 3
+        assert len(calls) == 4
