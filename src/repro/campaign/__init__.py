@@ -32,7 +32,6 @@ from repro.campaign.tasks import (
     SimTask,
     VerifyTask,
     WorkloadSpec,
-    execute_task,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "completed_payloads",
     "default_cache_root",
     "digest",
-    "execute_task",
     "grid_plan",
     "grid_scan",
     "grid_tasks",

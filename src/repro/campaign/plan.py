@@ -3,10 +3,11 @@
 A :class:`CampaignPlan` is the contract between the experiment/sweep
 modules and the executor: ``tasks`` is the flat list of independent
 units, ``assemble`` turns the aligned list of result payloads back into
-the artefact (an ``ExperimentResult`` or sweep rows).  Both the serial
-path (``run_plan`` with no runner) and ``repro campaign`` share this one
-code path, so parallel runs are byte-identical to serial ones by
-construction -- assembly only ever sees payloads in task order.
+the artefact (an ``ExperimentResult`` or sweep rows).  Every plan runs
+through :func:`repro.campaign.executor.run_campaign` (``run_plan``
+here, ``repro campaign`` in the CLI), so parallel runs are
+byte-identical to serial ones by construction -- assembly only ever
+sees payloads in task order.
 
 :class:`GridPoint` models the shape every grid experiment has: one
 machine + one workload, simulated under several methods, with the
@@ -18,13 +19,14 @@ the one template every grid (the paper's sweeps and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import CampaignError
 from repro.config.machine import MachineConfig
 from repro.policies.registry import MethodSpec, parse_method
 
-from repro.campaign.tasks import SimSummary, SimTask, Task, WorkloadSpec, execute_task
+from repro.campaign.executor import run_campaign
+from repro.campaign.tasks import SimSummary, SimTask, Task, WorkloadSpec
 
 #: Assemblers receive one payload dict per task, in task order.
 Assembler = Callable[[Sequence[Mapping[str, Any]]], Any]
@@ -142,16 +144,18 @@ def grid_plan(
     return CampaignPlan(tasks=grid_tasks(points), assemble=assemble)
 
 
-def run_plan(
-    plan: CampaignPlan,
-    runner: Optional[Callable[[Sequence[Task]], Sequence[Mapping[str, Any]]]] = None,
-) -> Any:
-    """Execute a plan's tasks (serially unless ``runner`` says otherwise)
-    and assemble the artefact."""
-    if runner is None:
-        payloads: Sequence[Mapping[str, Any]] = [
-            execute_task(task) for task in plan.tasks
-        ]
-    else:
-        payloads = runner(plan.tasks)
-    return plan.assemble(payloads)
+def run_plan(plan: CampaignPlan, **options: Any) -> Any:
+    """Run a plan's tasks through :func:`run_campaign` and assemble the artefact.
+
+    ``options`` are ``run_campaign``'s own (``jobs``, ``cache``,
+    ``on_progress``, ...).  Raises :class:`CampaignError` naming the
+    first task that still failed after its retries.
+    """
+    report = run_campaign(plan.tasks, **options)
+    failed = report.failures()
+    if failed:
+        first = failed[0]
+        raise CampaignError(
+            f"{len(failed)} task(s) failed; first: {first.label}: {first.error}"
+        )
+    return plan.assemble(report.payloads())

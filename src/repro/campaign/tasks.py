@@ -394,13 +394,9 @@ class VerifyTask:
 Task = Any
 
 
-def execute_task(task: Task) -> Dict[str, Any]:
-    """Run one task; the module-level entry point worker processes import."""
-    return task.execute()
-
-
 def timed_execute(task: Task) -> Tuple[Dict[str, Any], float]:
-    """``execute_task`` plus the task's own wall-clock, measured in-worker."""
+    """Run one task, timing it in-worker: the module-level entry point
+    worker processes import."""
     start = time.perf_counter()
-    payload = execute_task(task)
+    payload = task.execute()
     return payload, time.perf_counter() - start

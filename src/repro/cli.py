@@ -180,7 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="smoke-test corpus: fewer seeds, shorter streams (CI)",
     )
     verify.add_argument(
-        "--progress", action="store_true", help="print each (check, seed) pair"
+        "--progress",
+        action="store_true",
+        help="print each finished (check, seed range) task",
     )
     _add_campaign_options(verify, default_cache=False)
     verify.add_argument(
@@ -388,13 +390,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         names = [args.name]
     return _run_campaign_plans(
-        names, config, jobs=args.jobs, cache=cache
+        [(name, get_plan(name, config)) for name in names],
+        jobs=args.jobs,
+        cache=cache,
     )
 
 
+def _print_progress(record, done: int, total: int) -> None:
+    print(f"  [{done}/{total}] {record.source:<8} {record.label}")
+
+
 def _run_campaign_plans(
-    names: List[str],
-    config,
+    plans,
     *,
     jobs: int,
     cache,
@@ -404,21 +411,15 @@ def _run_campaign_plans(
     progress: bool = False,
     out: Optional[str] = None,
 ) -> int:
-    """Concatenate the experiments' plans into one campaign, run, print.
+    """Run ``(name, plan)`` pairs as one campaign; print each artefact,
+    then the campaign summary (and write ``out``, the telemetry JSON).
 
-    Every plan is built before any task runs, so an unknown name fails
-    fast.
+    Callers build every plan before calling, so an unknown experiment
+    name fails before any task runs.
     """
     from repro.campaign.executor import run_campaign
 
-    plans = [(name, get_plan(name, config)) for name in names]
     tasks = [task for _, plan in plans for task in plan.tasks]
-    on_progress = None
-    if progress:
-
-        def on_progress(record, done, total):
-            print(f"  [{done}/{total}] {record.source:<8} {record.label}")
-
     report = run_campaign(
         tasks,
         jobs=jobs,
@@ -426,7 +427,7 @@ def _run_campaign_plans(
         run_id=run_id,
         resume=resume,
         retries=retries,
-        on_progress=on_progress,
+        on_progress=_print_progress if progress else None,
     )
     if out is not None:
         import json
@@ -447,7 +448,7 @@ def _run_campaign_plans(
         print()
     print(report.render_summary())
     if failed_names:
-        print(f"FAILED experiments: {', '.join(failed_names)}")
+        print(f"FAILED: {', '.join(failed_names)}")
         for record in report.failures():
             print(f"  {record.label}: {record.error}")
         return 1
@@ -458,8 +459,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     config = quick_config() if args.profile == "quick" else full_config()
     names = [name.strip().lower() for name in args.names] or list_experiments()
     return _run_campaign_plans(
-        names,
-        config,
+        [(name, get_plan(name, config)) for name in names],
         jobs=args.jobs,
         cache=_make_cache(args, default_cache=True),
         run_id=args.run_id,
@@ -591,32 +591,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.seeds = 15 if args.quick else 50
     if args.max_accesses is None:
         args.max_accesses = 150 if args.quick else 300
-    cache = _make_cache(args, default_cache=False)
-    if args.jobs <= 1 and cache is None and args.chunk is None:
-        from repro.verify.differential import run_differential
+    from repro.verify.parallel import run_differential_campaign
 
-        on_progress = None
-        if args.progress:
-            on_progress = lambda name, seed: print(f"  {name}: seed {seed}")  # noqa: E731
-        report = run_differential(
-            seeds=args.seeds,
-            checks=checks,
-            first_seed=args.first_seed,
-            max_accesses=args.max_accesses,
-            on_progress=on_progress,
-        )
-    else:
-        from repro.verify.parallel import run_differential_campaign
-
-        report = run_differential_campaign(
-            seeds=args.seeds,
-            checks=checks,
-            first_seed=args.first_seed,
-            max_accesses=args.max_accesses,
-            jobs=args.jobs,
-            cache=cache,
-            chunk=args.chunk,
-        )
+    report = run_differential_campaign(
+        seeds=args.seeds,
+        checks=checks,
+        first_seed=args.first_seed,
+        max_accesses=args.max_accesses,
+        jobs=args.jobs,
+        chunk=args.chunk,
+        cache=_make_cache(args, default_cache=False),
+        on_progress=_print_progress if args.progress else None,
+    )
     print(report.render())
     return 0 if report.ok else 1
 
@@ -707,29 +693,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.monolithic:
         print(run_fleet_monolithic(spec).render())
         return 0
-    from repro.campaign.executor import run_campaign
-
-    plan = fleet_plan(spec)
-    report = run_campaign(
-        plan.tasks,
+    return _run_campaign_plans(
+        [("fleet", fleet_plan(spec))],
         jobs=args.jobs,
         cache=_make_cache(args, default_cache=False),
+        out=args.out,
     )
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.telemetry(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if not report.ok:
-        print(report.render_summary())
-        for record in report.failures():
-            print(f"  FAILED {record.label}: {record.error}")
-        return 1
-    print(plan.assemble(report.payloads()).render())
-    print()
-    print(report.render_summary())
-    return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

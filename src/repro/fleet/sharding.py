@@ -41,7 +41,7 @@ from repro.config.machine import MachineConfig
 from repro.errors import CampaignError, ConfigError, SimulationError
 from repro.fleet.engine import FleetResult
 from repro.policies.registry import MethodSpec
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, offset_ids
 from repro.units import GB
 
 #: File-id offset between tenants, so merged traces keep distinct files.
@@ -200,15 +200,18 @@ def merge_tenant_traces(
             )
         times_parts.append(trace.times)
         pages_parts.append(
-            _offset(trace.pages, global_index * page_span, global_index, "pages")
+            offset_ids(
+                trace.pages, global_index * page_span, SimulationError,
+                f"tenant {global_index}'s pages",
+            )
         )
         if trace.files is None:
             has_files = False
         else:
             files_parts.append(
-                _offset(
+                offset_ids(
                     trace.files, global_index * TENANT_FILE_SPAN,
-                    global_index, "file ids",
+                    SimulationError, f"tenant {global_index}'s file ids",
                 )
             )
     times = np.concatenate(times_parts)
@@ -228,17 +231,6 @@ def merge_tenant_traces(
             "tenants": len(tenants),
         },
     )
-
-
-def _offset(values: np.ndarray, offset: int, tenant: int, what: str) -> np.ndarray:
-    """``values + offset``, refusing a sum that int64 would wrap."""
-    top = int(values.max()) if values.size else 0
-    if top + offset > np.iinfo(np.int64).max:
-        raise SimulationError(
-            f"tenant {tenant}'s {what} overflow int64 after its offset "
-            f"({top} + {offset})"
-        )
-    return values + offset
 
 
 def _shard_pages_per_disk(page_span: int, num_tenants: int, disks: int) -> int:

@@ -104,14 +104,16 @@ class _Handler(socketserver.StreamRequestHandler):
             line = line.strip()
             if not line:
                 continue
+            op = None
             try:
                 request = json.loads(line)
                 if not isinstance(request, dict):
                     raise ValueError("request must be a JSON object")
+                op = request.get("op")
                 response = daemon.dispatch(request)
             except SimulationError as exc:
                 response = {"ok": False, "error": str(exc)}
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 response = {"ok": False, "error": f"bad request: {exc}"}
             try:
                 self.wfile.write(
@@ -121,7 +123,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
             except (ConnectionError, OSError):
                 return
-            if request.get("op") == "shutdown":
+            if op == "shutdown":
                 return
 
 

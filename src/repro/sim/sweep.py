@@ -9,10 +9,9 @@ shape every experiment table uses, ready for
 A sweep decomposes into independent campaign tasks
 (:func:`sweep_plan`), so it can fan out over a process pool and share
 the content-addressed result cache: pass ``jobs``/``cache`` to
-:func:`sweep`, or feed the plan to
-:func:`repro.campaign.executor.run_campaign` yourself.  Serial and
-parallel runs assemble rows in the same task order, so their output is
-identical byte for byte.
+:func:`sweep`, or feed the plan to :func:`repro.campaign.plan.run_plan`
+yourself.  Serial and parallel runs assemble rows in the same task
+order, so their output is identical byte for byte.
 """
 
 from __future__ import annotations
@@ -163,30 +162,22 @@ def sweep(
 
     Returns one row per (point, method) holding the swept parameters,
     the method label, normalised energies and the performance columns.
-    ``jobs > 1`` fans the grid out over a process pool; pass a
+    The grid runs through :func:`repro.campaign.plan.run_plan`:
+    ``jobs > 1`` fans it out over a process pool; pass a
     :class:`repro.campaign.cache.ResultCache` as ``cache`` to skip
     already-computed points.  Both options produce rows identical to the
     serial, uncached run.
     """
-    plan = sweep_plan(
-        machine,
-        methods,
-        grid,
-        duration_s,
-        warmup_s=warmup_s,
-        seed=seed,
-        defaults=defaults,
+    return run_plan(
+        sweep_plan(
+            machine,
+            methods,
+            grid,
+            duration_s,
+            warmup_s=warmup_s,
+            seed=seed,
+            defaults=defaults,
+        ),
+        jobs=jobs,
+        cache=cache,
     )
-    if jobs <= 1 and cache is None:
-        return run_plan(plan)
-    from repro.campaign.executor import run_campaign
-
-    report = run_campaign(plan.tasks, jobs=max(jobs, 1), cache=cache)
-    failed = report.failures()
-    if failed:
-        first = failed[0]
-        raise ReproError(
-            f"sweep: {len(failed)} task(s) failed; first: "
-            f"{first.label}: {first.error}"
-        )
-    return plan.assemble(report.payloads())

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, offset_ids
 
 
 def _common_page_size(traces: Sequence[Trace]) -> int:
@@ -87,11 +87,13 @@ def interleave(
 
     shifted_pages = []
     offset = 0
-    for trace in traces:
+    for part, trace in enumerate(traces):
         if shared_pages:
             shifted_pages.append(trace.pages)
         else:
-            shifted_pages.append(trace.pages + offset)
+            shifted_pages.append(
+                offset_ids(trace.pages, offset, TraceError, f"part {part}'s pages")
+            )
             offset += int(trace.pages.max()) + 1
     times = np.concatenate([trace.times for trace in traces])
     pages = np.concatenate(shifted_pages)

@@ -47,6 +47,23 @@ def validate_accesses(
         raise error("writes must align with times")
 
 
+def offset_ids(
+    values: np.ndarray, offset: int, error: Type[Exception], what: str
+) -> np.ndarray:
+    """``values + offset``, raising ``error`` where int64 would wrap.
+
+    numpy wraps an overflowing sum silently into colliding or negative
+    ids; ``what`` names the shifted part in the message.  The composers
+    that give each part its own id range (:func:`repro.traces.compose.
+    interleave` with ``TraceError``, the fleet's shard merge with
+    ``SimulationError``) shift through here.
+    """
+    top = int(values.max()) if values.size else 0
+    if top + offset > np.iinfo(np.int64).max:
+        raise error(f"{what} overflow int64 after its offset ({top} + {offset})")
+    return values + offset
+
+
 @dataclass(frozen=True)
 class Trace:
     """Timestamped page accesses.

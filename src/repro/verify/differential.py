@@ -289,24 +289,37 @@ def check_predictor(case: VerifyCase) -> Optional[str]:
         period_end=case.period_s,
     )
     for prediction in predictions:
-        capacity = prediction.capacity_pages
-        slow_times = oracles.naive_lru_miss_times(times, pages, capacity)
-        if prediction.num_disk_accesses != len(slow_times):
-            return (
-                f"size {capacity}: fast predicts "
-                f"{prediction.num_disk_accesses} disk accesses, the literal "
-                f"LRU saw {len(slow_times)}"
-            )
-        slow_idle = oracles.naive_idle_intervals(
-            slow_times, case.window_s, period_start=0.0, period_end=case.period_s
+        detail = _prediction_vs_lru(
+            prediction, times, pages, case.window_s, case.period_s
         )
-        if prediction.idle.count != len(slow_idle) or not np.allclose(
-            prediction.idle.lengths, np.asarray(slow_idle), rtol=0.0, atol=1e-9
-        ):
-            return (
-                f"size {capacity}: fast idle intervals "
-                f"{prediction.idle.lengths.tolist()} != oracle {slow_idle}"
-            )
+        if detail is not None:
+            return detail
+    return None
+
+
+def _prediction_vs_lru(
+    prediction, times: list, pages: list, window_s: float, period_s: float
+) -> Optional[str]:
+    """One size's predicted disk accesses and idle intervals vs the
+    literal LRU simulation of that size."""
+    capacity = prediction.capacity_pages
+    slow_times = oracles.naive_lru_miss_times(times, pages, capacity)
+    if prediction.num_disk_accesses != len(slow_times):
+        return (
+            f"size {capacity}: fast predicts "
+            f"{prediction.num_disk_accesses} disk accesses, the literal "
+            f"LRU saw {len(slow_times)}"
+        )
+    slow_idle = oracles.naive_idle_intervals(
+        slow_times, window_s, period_start=0.0, period_end=period_s
+    )
+    if prediction.idle.count != len(slow_idle) or not np.allclose(
+        prediction.idle.lengths, np.asarray(slow_idle), rtol=0.0, atol=1e-9
+    ):
+        return (
+            f"size {capacity}: fast idle intervals "
+            f"{prediction.idle.lengths.tolist()} != oracle {slow_idle}"
+        )
     return None
 
 
@@ -334,29 +347,15 @@ def check_joint(case: VerifyCase) -> Optional[str]:
 
     # (1) predictions vs the literal per-size LRU simulation.
     for evaluation in evaluations:
-        prediction = evaluation.prediction
-        slow_times = oracles.naive_lru_miss_times(
-            times, pages, prediction.capacity_pages
-        )
-        if prediction.num_disk_accesses != len(slow_times):
-            return (
-                f"candidate {prediction.capacity_pages} pages: fast predicts "
-                f"{prediction.num_disk_accesses} disk accesses, literal LRU "
-                f"saw {len(slow_times)}"
-            )
-        slow_idle = oracles.naive_idle_intervals(
-            slow_times,
+        detail = _prediction_vs_lru(
+            evaluation.prediction,
+            times,
+            pages,
             machine.manager.aggregation_window_s,
-            period_start=0.0,
-            period_end=period_s,
+            period_s,
         )
-        if prediction.idle.count != len(slow_idle) or not np.allclose(
-            prediction.idle.lengths, np.asarray(slow_idle), rtol=0.0, atol=1e-9
-        ):
-            return (
-                f"candidate {prediction.capacity_pages} pages: idle intervals "
-                f"{prediction.idle.lengths.tolist()} != oracle {slow_idle}"
-            )
+        if detail is not None:
+            return f"candidate {detail}"
 
     # (2) selection vs the exhaustive scan.
     chosen = oracles.oracle_select(evaluations)
@@ -972,19 +971,8 @@ CHECKS: Dict[str, Callable[[VerifyCase], Optional[str]]] = {
 # --- the runner ---------------------------------------------------------------
 
 
-def run_differential(
-    seeds: int = 50,
-    checks: Optional[Sequence[str]] = None,
-    first_seed: int = 0,
-    max_accesses: int = 300,
-    on_progress: Optional[Callable[[str, int], None]] = None,
-) -> VerifyReport:
-    """Replay ``seeds`` fuzzed workloads through every requested check.
-
-    Stops each check at its first divergence and minimizes the failing
-    access stream with :func:`minimize_accesses`; the other checks still
-    run, so one report shows every broken subsystem.
-    """
+def check_names(seeds: int, checks: Optional[Sequence[str]]) -> List[str]:
+    """The requested check names (all by default), validated."""
     if seeds <= 0:
         raise SimulationError("need at least one seed")
     names = list(CHECKS) if checks is None else list(checks)
@@ -993,14 +981,27 @@ def run_differential(
             raise SimulationError(
                 f"unknown check {name!r}; available: {', '.join(CHECKS)}"
             )
+    return names
+
+
+def run_differential(
+    seeds: int = 50,
+    checks: Optional[Sequence[str]] = None,
+    first_seed: int = 0,
+    max_accesses: int = 300,
+) -> VerifyReport:
+    """Replay ``seeds`` fuzzed workloads through every requested check.
+
+    Stops each check at its first divergence and minimizes the failing
+    access stream with :func:`minimize_accesses`; the other checks still
+    run, so one report shows every broken subsystem.
+    """
     report = VerifyReport(first_seed=first_seed, seeds=seeds)
-    for name in names:
+    for name in check_names(seeds, checks):
         fn = CHECKS[name]
         outcome = CheckOutcome(name=name, seeds_run=seeds)
         for offset in range(seeds):
             seed = first_seed + offset
-            if on_progress is not None:
-                on_progress(name, seed)
             case = random_case(seed, max_accesses=max_accesses)
             detail = _run_safely(fn, case)
             if detail is not None:

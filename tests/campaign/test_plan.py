@@ -13,7 +13,7 @@ from repro.campaign.plan import (
     run_plan,
     split_by_point,
 )
-from repro.campaign.tasks import WorkloadSpec, execute_task
+from repro.campaign.tasks import WorkloadSpec
 from repro.errors import CampaignError
 
 
@@ -54,7 +54,7 @@ class TestGridDecomposition:
 
     def test_split_is_inverse_of_flatten(self, points):
         tasks = grid_tasks(points)
-        payloads = [execute_task(task) for task in tasks]
+        payloads = [task.execute() for task in tasks]
         grouped = split_by_point(points, payloads)
         assert [point for point, _ in grouped] == list(points)
         for _, by_label in grouped:
@@ -62,32 +62,48 @@ class TestGridDecomposition:
 
     def test_missing_payload_raises(self, points):
         tasks = grid_tasks(points)
-        payloads = [execute_task(task) for task in tasks]
+        payloads = [task.execute() for task in tasks]
         payloads[1] = None
         with pytest.raises(CampaignError, match="missing result"):
             split_by_point(points, payloads)
 
     def test_shape_mismatch_raises(self, points):
         tasks = grid_tasks(points)
-        payloads = [execute_task(task) for task in tasks]
+        payloads = [task.execute() for task in tasks]
         with pytest.raises(CampaignError, match="shape mismatch"):
             split_by_point(points, payloads + payloads[-1:])
 
 
+class _FailingTask:
+    kind = "sim"
+    key = "failing-task"
+
+    def describe(self):
+        return "sim:failing"
+
+    def execute(self):
+        raise ValueError("boom")
+
+
 class TestRunPlan:
-    def test_custom_runner_receives_tasks(self, points):
+    def test_options_reach_run_campaign(self, points):
         plan = CampaignPlan(
             tasks=grid_tasks(points[:1]),
             assemble=lambda payloads: len(payloads),
         )
-        seen = {}
+        seen = []
 
-        def runner(tasks):
-            seen["n"] = len(tasks)
-            return [execute_task(task) for task in tasks]
+        def on_progress(record, done, total):
+            seen.append((record.label, done, total))
 
-        assert run_plan(plan, runner) == 2
-        assert seen["n"] == 2
+        assert run_plan(plan, jobs=1, on_progress=on_progress) == 2
+        assert [(done, total) for _, done, total in seen] == [(1, 2), (2, 2)]
+        assert seen[0][0].startswith("sim:JOINT")
+
+    def test_failed_task_raises_campaign_error(self):
+        plan = CampaignPlan(tasks=[_FailingTask()], assemble=list)
+        with pytest.raises(CampaignError, match="sim:failing: ValueError: boom"):
+            run_plan(plan, retries=0)
 
 
 class TestExperimentPlans:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import numpy as np
@@ -104,6 +106,22 @@ class TestErrors:
         with pytest.raises(ServiceError):
             client.feed("ghost", [1.0], [0])
         assert client.ping() is True
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"not json", b"[1]", b'"x"', b"42", b"null", b"\xff\xfe", b"[" * 100_000],
+    ids=["text", "list", "str", "int", "null", "not-utf8", "deep-nesting"],
+)
+def test_malformed_line_keeps_connection(daemon, line):
+    """Every malformed line gets an error reply; the socket stays open."""
+    with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(line + b"\n")
+        reply = json.loads(reader.readline())
+        assert reply["ok"] is False and "error" in reply
+        sock.sendall(b'{"op": "ping"}\n')
+        assert json.loads(reader.readline())["ok"] is True
 
 
 def test_eight_concurrent_tenant_connections(daemon, service_trace):

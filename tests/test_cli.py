@@ -287,7 +287,7 @@ class TestVerifyCommand:
     def test_verify_progress_flag(self, capsys):
         code = main(["verify", "--seeds", "2", "--checks", "stack", "--progress"])
         assert code == 0
-        assert "seed 0" in capsys.readouterr().out
+        assert "[1/1] executed verify:stack[0..2)" in capsys.readouterr().out
 
     def test_verify_jobs_matches_serial_output(self, capsys):
         args = ["verify", "--seeds", "4", "--checks", "stack,intervals"]
@@ -415,3 +415,40 @@ class TestCampaignCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "Pareto" in out and "campaign" in out
+
+
+class TestFleetCommand:
+    _ARGS = ["fleet", "--tenants", "2", "--shards", "2", "--periods", "1"]
+    _LAYOUTS = {
+        "sim": ["--layout", "sim", "--disks-per-shard", "1"],
+        "migrating": ["--layout", "migrating"],
+    }
+
+    @staticmethod
+    def _energy_line(out):
+        (line,) = [row for row in out.splitlines() if "total energy" in row]
+        return line
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_fleet_report_telemetry_and_monolithic_parity(
+        self, capsys, tmp_path, layout
+    ):
+        import json
+
+        args = self._ARGS + self._LAYOUTS[layout]
+        out_path = tmp_path / "fleet.json"
+        assert main(args + ["--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fleet ")
+        for line in ("total energy", "sleeping disks", "shard replay"):
+            assert line in out
+        assert "hit ratio" in out and "shard task(s)" in out
+        telemetry = json.loads(out_path.read_text())
+        assert telemetry["failures"] == 0
+        assert telemetry["fleet"]["shard_tasks"] >= 1
+        assert telemetry["fleet"]["tenants"] == 2
+
+        assert main(args + ["--monolithic"]) == 0
+        mono = capsys.readouterr().out
+        assert "campaign" not in mono
+        assert self._energy_line(mono) == self._energy_line(out)

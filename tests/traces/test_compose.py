@@ -107,3 +107,16 @@ class TestInterleave:
         empty = Trace(times=np.array([]), pages=np.array([], dtype=np.int64))
         with pytest.raises(TraceError):
             interleave([first, empty])
+
+    @pytest.mark.parametrize(
+        "first_pages, second_pages",
+        [([0, 2**62], [2**62]), ([2**63 - 1], [0])],
+        ids=["sum-wraps", "offset-past-int64"],
+    )
+    def test_page_offset_overflow_names_the_part(self, first_pages, second_pages):
+        parts = [
+            make_trace([0.0] * len(first_pages), first_pages),
+            make_trace([1.0], second_pages),
+        ]
+        with pytest.raises(TraceError, match="part 1's pages overflow int64"):
+            interleave(parts)

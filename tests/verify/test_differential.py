@@ -43,15 +43,6 @@ class TestRunner:
         with pytest.raises(SimulationError):
             run_differential(seeds=0)
 
-    def test_progress_callback_sees_every_seed(self):
-        seen = []
-        run_differential(
-            seeds=3,
-            checks=["intervals"],
-            on_progress=lambda name, seed: seen.append((name, seed)),
-        )
-        assert seen == [("intervals", 0), ("intervals", 1), ("intervals", 2)]
-
 
 class TestSeededCases:
     def test_cases_are_deterministic(self):

@@ -20,6 +20,9 @@ class TestChunking:
         assert len(sizes) == 16
         assert all(size == 4 for size in sizes)
 
+    def test_one_chunk_per_check_when_serial(self):
+        assert chunk_seeds(50, 1) == [50]
+
     def test_explicit_chunk_respected(self):
         assert chunk_seeds(10, 8, chunk=10) == [10]
 
@@ -37,6 +40,23 @@ class TestEquivalence:
         campaign = run_differential_campaign(jobs=2, **kwargs)
         assert serial.ok and campaign.ok
         assert campaign.render() == serial.render()
+
+    def test_progress_sees_every_task(self):
+        seen = []
+        run_differential_campaign(
+            seeds=3,
+            checks=["intervals", "stack"],
+            chunk=1,
+            on_progress=lambda record, done, total: seen.append(record.label),
+        )
+        assert seen == [
+            "verify:intervals[0..1)",
+            "verify:intervals[1..2)",
+            "verify:intervals[2..3)",
+            "verify:stack[0..1)",
+            "verify:stack[1..2)",
+            "verify:stack[2..3)",
+        ]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(SimulationError, match="unknown check"):
