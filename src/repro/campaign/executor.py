@@ -5,15 +5,20 @@ and resolves each one, in order of preference:
 
 1. the run journal of the run being resumed (``resume=RUN_ID``),
 2. the content-addressed result cache,
-3. execution -- on a ``ProcessPoolExecutor`` with ``jobs`` workers, or
-   serially in-process when ``jobs <= 1`` (graceful degradation, and the
-   path used by tests that monkeypatch task internals).
+3. execution, in rounds.  One loop reads each round's outcomes, either
+   in-process when ``jobs <= 1`` (each task's record, journal entry,
+   cache put and progress call come before the next task starts; tests
+   that monkeypatch task internals rely on it) or from a fresh
+   ``ProcessPoolExecutor`` with ``jobs`` workers, in completion order.
 
 Identical task keys within one campaign execute once and fan the result
-out.  Worker crashes (``BrokenProcessPool``) and in-task exceptions are
-retried with exponential backoff up to ``retries`` times; what still
-fails is recorded per-task and surfaces in ``CampaignReport.ok`` rather
-than aborting the rest of the campaign.
+out: the first task of each key holds the key's record, and duplicates
+copy it.  Only crash-like failures retry -- a dead worker
+(``BrokenProcessPool``) or a failed I/O call (``OSError``) -- in the
+next round, after a backoff, up to ``retries`` times; any other
+exception is deterministic and fails its task on the first attempt.
+What fails is recorded per-task and surfaces in ``CampaignReport.ok``
+rather than aborting the rest of the campaign.
 
 Telemetry -- per-task wall-clock (measured inside the worker), cache
 hit/miss counters, worker utilization -- is returned on the report,
@@ -23,12 +28,19 @@ the journal.
 
 from __future__ import annotations
 
+import itertools
+import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import CampaignError
 
@@ -42,6 +54,14 @@ from repro.campaign.tasks import (
     start_sharing_traces,
     timed_execute,
 )
+
+#: A task's payload and its in-worker wall-clock seconds.
+Outcome = Tuple[Dict[str, Any], float]
+
+#: Failures worth another attempt: a dead worker or a failed I/O call.
+RETRYABLE = (BrokenProcessPool, OSError)
+#: Pause before retry round ``n``: ``BACKOFF_S * 2 ** (n - 1)``, capped at 32x.
+BACKOFF_S = 0.25
 
 #: How a task's result was obtained.
 SOURCE_EXECUTED = "executed"
@@ -307,7 +327,6 @@ def run_campaign(
     run_id: Optional[str] = None,
     resume: Optional[str] = None,
     retries: int = 2,
-    backoff_s: float = 0.25,
     on_progress: Optional[Callable[[TaskRecord, int, int], None]] = None,
 ) -> CampaignReport:
     """Resolve every task; return payloads aligned with ``tasks``.
@@ -323,8 +342,9 @@ def run_campaign(
     if retries < 0:
         raise CampaignError(f"retries must be >= 0, got {retries}")
     cache = cache if cache is not None else NullCache()
-    if runs_root is None and getattr(cache, "root", None) is not None:
-        runs_root = cache.root / "runs"
+    cache_root = getattr(cache, "root", None)
+    if runs_root is None and cache_root is not None:
+        runs_root = cache_root / "runs"
 
     start = time.monotonic()
     tasks = list(tasks)
@@ -333,16 +353,12 @@ def run_campaign(
         TaskRecord(index=i, key=key, kind=task.kind, label=task.describe())
         for i, (task, key) in enumerate(zip(tasks, keys))
     ]
-    stats = CampaignStats(
-        tasks=len(tasks), jobs=jobs, retries=0,
-        trace_builds=0 if jobs <= 1 else None,
-    )
-
-    # Unique keys, first occurrence wins; later duplicates are dedup hits.
+    # Unique keys, first occurrence wins: its record is the key's ledger
+    # entry, and later duplicates copy it as dedup hits.
     first_index: Dict[str, int] = {}
     for i, key in enumerate(keys):
         first_index.setdefault(key, i)
-    stats.unique = len(first_index)
+    stats = CampaignStats(tasks=len(tasks), unique=len(first_index), jobs=jobs)
 
     if resume is not None:
         if runs_root is None:
@@ -356,74 +372,13 @@ def run_campaign(
 
     run_dir: Optional[Path] = None
     journal: Optional[RunJournal] = None
+    journal_payloads: Dict[str, Dict[str, Any]] = {}
     if runs_root is not None:
         run_dir = Path(runs_root) / run_id
         if resume is not None:
             # Raises CampaignError when the journal does not exist.
             journal_payloads = completed_payloads(run_dir)
-        else:
-            journal_payloads = {}
         journal = RunJournal(run_dir)
-    else:
-        journal_payloads = {}
-
-    resolved: Dict[str, Dict[str, Any]] = {}
-    source_of: Dict[str, str] = {}
-    wall_of: Dict[str, float] = {}
-    attempts_of: Dict[str, int] = {}
-    errors: Dict[str, str] = {}
-    done_count = 0
-
-    def note(record: TaskRecord) -> None:
-        nonlocal done_count
-        done_count += 1
-        if on_progress is not None:
-            on_progress(record, done_count, stats.unique)
-
-    def finish_key(key: str, payload: Dict[str, Any], source: str,
-                   wall: float = 0.0, attempts: int = 0) -> None:
-        resolved[key] = payload
-        source_of[key] = source
-        wall_of[key] = wall
-        attempts_of[key] = attempts
-        rep = records[first_index[key]]
-        rep.payload = payload
-        rep.source = source
-        rep.wall_s = wall
-        rep.attempts = attempts
-        if journal is not None:
-            journal.append(
-                "task_done",
-                key=key,
-                kind=rep.kind,
-                label=rep.label,
-                source=source,
-                wall_s=wall,
-                attempts=attempts,
-                payload=payload,
-            )
-        if source == SOURCE_EXECUTED:
-            cache.put(key, payload)
-        note(rep)
-
-    def fail_key(key: str, error: str, attempts: int) -> None:
-        errors[key] = error
-        attempts_of[key] = attempts
-        rep = records[first_index[key]]
-        rep.error = error
-        rep.attempts = attempts
-        if journal is not None:
-            journal.append(
-                "task_failed",
-                key=key,
-                kind=rep.kind,
-                label=rep.label,
-                attempts=attempts,
-                error=error,
-            )
-        note(rep)
-
-    if journal is not None:
         journal.append(
             "run_started",
             run_id=run_id,
@@ -434,61 +389,88 @@ def run_campaign(
             code_fingerprint=code_fingerprint(),
         )
 
+    done = itertools.count(1)
+
+    def settle(rep: TaskRecord, event: str, **fields: Any) -> None:
+        if journal is not None:
+            journal.append(
+                event, key=rep.key, kind=rep.kind, label=rep.label, **fields
+            )
+        if on_progress is not None:
+            on_progress(rep, next(done), stats.unique)
+
+    def finish(rep: TaskRecord, payload: Dict[str, Any], source: str,
+               wall: float = 0.0) -> None:
+        rep.payload, rep.source, rep.wall_s = payload, source, wall
+        if source == SOURCE_EXECUTED:
+            cache.put(rep.key, payload)
+        settle(rep, "task_done", source=source, wall_s=wall,
+               attempts=rep.attempts, payload=payload)
+
+    def fail(rep: TaskRecord, exc: Exception) -> None:
+        rep.error = f"{type(exc).__name__}: {exc}"
+        settle(rep, "task_failed", attempts=rep.attempts, error=rep.error)
+
     # 1/2: resolve from the resumed journal, then the cache.
-    for key in first_index:
-        if key in journal_payloads:
-            stats.journal_hits += 1
-            finish_key(key, journal_payloads[key], SOURCE_JOURNAL)
-    for key in first_index:
-        if key in resolved:
-            continue
-        hit = cache.get(key)
-        if hit is not None:
-            stats.cache_hits += 1
-            finish_key(key, hit, SOURCE_CACHE)
-
-    # 3: execute what is left.  While tasks run, point the trace-profile
-    # layer at the campaign's result cache so every sweep point, method
-    # and later resumed run shares one stack-distance pass per trace,
-    # and let the tasks of one workload share its built trace.
-    todo = [key for key in first_index if key not in resolved]
-    if todo:
-        previous_backend = _install_profile_cache(cache)
-        try:
-            if jobs <= 1:
-                with sharing_traces() as shared:
-                    _execute_serial(
-                        todo, tasks, first_index, retries, backoff_s,
-                        finish_key, fail_key, stats,
-                    )
-                stats.trace_builds = shared.builds
-            else:
-                _execute_parallel(
-                    todo, tasks, first_index, jobs, retries, backoff_s,
-                    finish_key, fail_key, stats,
-                    profile_cache_root=getattr(cache, "root", None),
-                )
-        finally:
-            trace_profiles.set_active_cache(previous_backend)
-
-    # Fan results out to duplicate tasks.
-    for i, key in enumerate(keys):
-        if i == first_index[key]:
-            continue
-        record = records[i]
-        if key in resolved:
-            record.payload = resolved[key]
-            record.source = SOURCE_DEDUP
-            stats.dedup_hits += 1
+    reps = [records[i] for i in first_index.values()]
+    for rep in reps:
+        if rep.key in journal_payloads:
+            finish(rep, journal_payloads[rep.key], SOURCE_JOURNAL)
         else:
-            record.error = errors.get(key, "task failed")
-            record.attempts = attempts_of.get(key, 0)
+            hit = cache.get(rep.key)
+            if hit is not None:
+                finish(rep, hit, SOURCE_CACHE)
 
-    stats.executed = sum(
-        1 for key in first_index if source_of.get(key) == SOURCE_EXECUTED
-    )
+    # 3: execute what is left, in rounds: a round runs its batch once,
+    # and the crash-like failures within retry budget make the next
+    # round's batch.  While tasks run, point the trace-profile layer at
+    # the campaign's result cache so every sweep point, method and later
+    # resumed run shares one stack-distance pass per trace, and let the
+    # tasks of one workload share its built trace.
+    batch = [rep for rep in reps if not rep.ok]
+    previous_backend = _install_profile_cache(cache)
+    try:
+        with sharing_traces() as shared:
+            rounds = 0
+            while batch:
+                if rounds:
+                    time.sleep(BACKOFF_S * 2 ** min(rounds - 1, 5))
+                rounds += 1
+                retry: List[TaskRecord] = []
+                outcomes = _outcomes(batch, tasks, jobs, cache_root)
+                with closing(outcomes):
+                    for rep, outcome in outcomes:
+                        rep.attempts += 1
+                        if not isinstance(outcome, Exception):
+                            payload, wall = outcome
+                            finish(rep, payload, SOURCE_EXECUTED, wall)
+                        elif (isinstance(outcome, RETRYABLE)
+                              and rep.attempts <= retries):
+                            stats.retries += 1
+                            retry.append(rep)
+                        else:
+                            fail(rep, outcome)
+                batch = retry
+    finally:
+        trace_profiles.set_active_cache(previous_backend)
+    stats.trace_builds = shared.builds if jobs <= 1 else None
+
+    # Fan each key's outcome out to its duplicates, then count.
+    for record in records:
+        rep = records[first_index[record.key]]
+        if record is rep:
+            continue
+        if rep.ok:
+            record.payload, record.source = rep.payload, SOURCE_DEDUP
+        else:
+            record.error, record.attempts = rep.error, rep.attempts
+    sources = Counter(record.source for record in records if record.ok)
+    stats.executed = sources[SOURCE_EXECUTED]
+    stats.cache_hits = sources[SOURCE_CACHE]
+    stats.journal_hits = sources[SOURCE_JOURNAL]
+    stats.dedup_hits = sources[SOURCE_DEDUP]
     stats.failures = sum(1 for record in records if not record.ok)
-    stats.busy_s = sum(wall_of.values())
+    stats.busy_s = sum(record.wall_s for record in records)
     stats.elapsed_s = time.monotonic() - start
 
     report = CampaignReport(
@@ -507,8 +489,6 @@ def run_campaign(
         )
         journal.close()
     if run_dir is not None:
-        import json
-
         summary_path = run_dir / SUMMARY_NAME
         summary_path.write_text(
             json.dumps(report.telemetry(), indent=2) + "\n", encoding="utf-8"
@@ -532,92 +512,39 @@ def _pool_initializer(cache_root: Optional[str]) -> None:
         trace_profiles.set_active_cache(cache_root)
 
 
-def _execute_serial(
-    todo: List[str],
-    tasks: Sequence[Task],
-    first_index: Dict[str, int],
-    retries: int,
-    backoff_s: float,
-    finish_key: Callable[..., None],
-    fail_key: Callable[..., None],
-    stats: CampaignStats,
-) -> None:
-    for key in todo:
-        task = tasks[first_index[key]]
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                payload, wall = timed_execute(task)
-            except Exception as exc:  # noqa: BLE001 - per-task isolation
-                if attempt > retries:
-                    fail_key(key, f"{type(exc).__name__}: {exc}", attempt)
-                    break
-                stats.retries += 1
-                time.sleep(backoff_s * (2 ** (attempt - 1)))
-                continue
-            finish_key(key, payload, SOURCE_EXECUTED, wall, attempt)
-            break
+def _outcome(call: Callable[[], Outcome]) -> Union[Outcome, Exception]:
+    """``call()``, or the exception it raised (a dead pool's included)."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - per-task isolation
+        return exc
 
 
-def _execute_parallel(
-    todo: List[str],
+def _outcomes(
+    batch: List[TaskRecord],
     tasks: Sequence[Task],
-    first_index: Dict[str, int],
     jobs: int,
-    retries: int,
-    backoff_s: float,
-    finish_key: Callable[..., None],
-    fail_key: Callable[..., None],
-    stats: CampaignStats,
-    profile_cache_root: Optional[Path] = None,
-) -> None:
-    """Pool execution with per-task retry and pool-crash recovery.
-
-    A ``BrokenProcessPool`` kills every in-flight future; the whole batch
-    is resubmitted on a fresh pool, each casualty costing one attempt.
-    ``retries`` therefore bounds both in-task exceptions and crash
-    collateral.
-    """
-    attempts: Dict[str, int] = {key: 0 for key in todo}
-    batch = list(todo)
-    round_index = 0
-    while batch:
-        if round_index > 0:
-            time.sleep(backoff_s * (2 ** min(round_index - 1, 5)))
-        round_index += 1
-        retry: List[str] = []
-        pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_pool_initializer,
-            initargs=(
-                str(profile_cache_root)
-                if profile_cache_root is not None
-                else None,
-            ),
-        )
-        try:
-            futures = {
-                pool.submit(timed_execute, tasks[first_index[key]]): key
-                for key in batch
-            }
-            for future in as_completed(futures):
-                key = futures[future]
-                attempts[key] += 1
-                try:
-                    payload, wall = future.result()
-                except Exception as exc:  # noqa: BLE001 - includes pool death
-                    if attempts[key] > retries:
-                        fail_key(
-                            key, f"{type(exc).__name__}: {exc}", attempts[key]
-                        )
-                    else:
-                        stats.retries += 1
-                        retry.append(key)
-                    if isinstance(exc, BrokenProcessPool):
-                        continue  # siblings fail fast; drain them all
-                    continue
-                finish_key(key, payload, SOURCE_EXECUTED, wall, attempts[key])
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        batch = retry
+    cache_root: Optional[Path],
+) -> Iterator[Tuple[TaskRecord, Union[Outcome, Exception]]]:
+    """Run one round: yield ``(record, (payload, wall) | exception)`` per
+    task of ``batch``, in this process when ``jobs <= 1`` (each task's
+    outcome is handled before the next one starts), else on a fresh
+    pool in completion order.  A ``BrokenProcessPool`` fails every task
+    still in flight, each one a casualty of the round."""
+    if jobs <= 1:
+        for rep in batch:
+            yield rep, _outcome(partial(timed_execute, tasks[rep.index]))
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_pool_initializer,
+        initargs=(str(cache_root) if cache_root is not None else None,),
+    )
+    try:
+        futures = {
+            pool.submit(timed_execute, tasks[rep.index]): rep for rep in batch
+        }
+        for future in as_completed(futures):
+            yield futures[future], _outcome(future.result)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)

@@ -43,7 +43,6 @@ from repro.experiments.base import full_config, quick_config
 from repro.experiments.registry import get_plan, list_experiments
 from repro.policies.registry import standard_methods
 from repro.sim.runner import run_method
-from repro.units import GB, MB
 
 #: Shared help for the --scale knob: the page-granularity divisor.
 _SCALE_HELP = (
@@ -494,7 +493,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _make_workload(args: argparse.Namespace):
     from repro.config.machine import scaled_machine
-    from repro.traces.specweb import generate_trace
 
     machine = scaled_machine(args.scale)
     period = machine.manager.period_s
@@ -504,16 +502,25 @@ def _make_workload(args: argparse.Namespace):
 
         trace = suites.build(args.suite, machine, duration, seed=args.seed)
     else:
-        trace = generate_trace(
-            dataset_bytes=args.dataset_gb * GB,
-            data_rate=args.rate_mb * MB,
-            duration_s=duration,
-            popularity=args.popularity,
-            page_size=machine.page_bytes,
-            seed=args.seed,
-            file_scale=machine.scale,
-        )
+        trace = _flag_workload(args, machine, duration).build()
     return machine, trace, duration, args.warmup_periods * period
+
+
+def _flag_workload(
+    args: argparse.Namespace, machine, duration_s: float, seed_offset: int = 0
+):
+    """The workload the ``--dataset-gb/--rate-mb/--popularity/--seed``
+    flags describe on ``machine``."""
+    from repro.campaign.tasks import WorkloadSpec
+
+    return WorkloadSpec.for_machine(
+        machine,
+        dataset_gb=args.dataset_gb,
+        rate_mb=args.rate_mb,
+        popularity=args.popularity,
+        duration_s=duration_s,
+        seed=args.seed + seed_offset,
+    )
 
 
 def _cmd_regret(args: argparse.Namespace) -> int:
@@ -560,17 +567,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace = load_block_csv(args.block_csv, page_size=machine.page_bytes)
         source = args.block_csv
     else:
-        from repro.traces.specweb import generate_trace
-
-        trace = generate_trace(
-            dataset_bytes=args.dataset_gb * GB,
-            data_rate=args.rate_mb * MB,
-            duration_s=args.duration_s,
-            popularity=args.popularity,
-            page_size=machine.page_bytes,
-            seed=args.seed,
-            file_scale=machine.scale,
-        )
+        trace = _flag_workload(args, machine, args.duration_s).build()
         source = "generated (SPECWeb99-class)"
     stats = characterize(trace)
     print(render_table(stats.summary_rows(), title=f"workload: {source}"))
@@ -657,7 +654,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _fleet_spec(args: argparse.Namespace):
-    from repro.campaign.tasks import WorkloadSpec
     from repro.config.machine import scaled_machine
     from repro.fleet.sharding import FleetSpec
     from repro.policies.registry import parse_method
@@ -665,14 +661,7 @@ def _fleet_spec(args: argparse.Namespace):
     machine = scaled_machine(args.scale)
     duration = args.periods * machine.manager.period_s
     tenants = tuple(
-        WorkloadSpec.for_machine(
-            machine,
-            dataset_gb=args.dataset_gb,
-            rate_mb=args.rate_mb,
-            popularity=args.popularity,
-            duration_s=duration,
-            seed=args.seed + i,
-        )
+        _flag_workload(args, machine, duration, seed_offset=i)
         for i in range(args.tenants)
     )
     return FleetSpec(

@@ -352,14 +352,7 @@ class PowerDownMemorySystem(MemorySystem):
         self._accounted_until[bank] = now
 
     def access(self, now: float, page: int) -> bool:
-        self._advance_clock(now)
-        self._charge_access()
-        bank = self._bank_of(page)
-        self._accrue_bank(bank, now)
-        if now > self._last_access[bank] + self.timeout_s:
-            # The bank had powered down and must wake to serve this access.
-            self.energy.add_transition(self._wake_energy)
-        self._last_access[bank] = now
+        self.charge_page_access(now, page)
         return self.cache.access(page)
 
     def charge_page_access(self, now: float, page: int) -> None:
@@ -368,6 +361,7 @@ class PowerDownMemorySystem(MemorySystem):
         bank = self._bank_of(page)
         self._accrue_bank(bank, now)
         if now > self._last_access[bank] + self.timeout_s:
+            # The bank had powered down and must wake to serve this access.
             self.energy.add_transition(self._wake_energy)
         self._last_access[bank] = now
 

@@ -23,8 +23,6 @@ from repro.config.machine import MachineConfig, paper_machine
 from repro.errors import ReproError
 from repro.sim.results import SimResult
 from repro.sim.runner import run_method
-from repro.traces.specweb import generate_trace
-from repro.units import GB, MB
 
 PathLike = Union[str, Path]
 
@@ -71,17 +69,18 @@ class RunSpec:
 
     def execute(self, audit: bool = True) -> SimResult:
         """Rebuild machine + workload and run the method."""
+        from repro.campaign.tasks import WorkloadSpec  # avoids an import cycle
+
         machine = self.machine()
-        trace = generate_trace(
-            dataset_bytes=self.dataset_gb * GB,
-            data_rate=self.rate_mb * MB,
-            duration_s=self.duration_s,
+        trace = WorkloadSpec.for_machine(
+            machine,
+            dataset_gb=self.dataset_gb,
+            rate_mb=self.rate_mb,
             popularity=self.popularity,
-            page_size=machine.page_bytes,
+            duration_s=self.duration_s,
             seed=self.seed,
-            file_scale=machine.scale,
             write_fraction=self.write_fraction,
-        )
+        ).build()
         return run_method(
             self.method,
             trace,

@@ -16,6 +16,7 @@ from typing import Any, Dict
 import pytest
 
 from repro.campaign.cache import ResultCache
+from repro.campaign import executor
 from repro.campaign.executor import (
     SOURCE_CACHE,
     SOURCE_DEDUP,
@@ -25,7 +26,7 @@ from repro.campaign.executor import (
 )
 from repro.campaign.hashing import task_key
 from repro.campaign.journal import JOURNAL_NAME
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigError
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class AddTask:
 
 @dataclass(frozen=True)
 class FlakyTask:
-    """Raises until the marker file has recorded ``fail_times`` attempts."""
+    """Fails its I/O until the marker file has recorded ``fail_times``
+    attempts: a crash-like failure, which the executor retries."""
 
     marker: str
     fail_times: int
@@ -75,8 +77,60 @@ class FlakyTask:
         count = int(path.read_text()) if path.exists() else 0
         if count < self.fail_times:
             path.write_text(str(count + 1))
-            raise RuntimeError(f"flaky failure #{count + 1}")
+            raise OSError(f"flaky failure #{count + 1}")
         return {"ok": True}
+
+
+@dataclass(frozen=True)
+class BadConfigTask:
+    """Counts its attempts in the marker file, then raises ``ConfigError``:
+    a deterministic failure that no retry can mend."""
+
+    marker: str
+
+    kind = "bad-config"
+
+    def payload(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "marker": self.marker}
+
+    @cached_property
+    def key(self) -> str:
+        return task_key(self.payload())
+
+    def describe(self) -> str:
+        return f"bad-config:{Path(self.marker).name}"
+
+    def execute(self) -> Dict[str, Any]:
+        path = Path(self.marker)
+        path.write_text(str(int(path.read_text()) + 1 if path.exists() else 1))
+        raise ConfigError("invalid point")
+
+
+@dataclass(frozen=True)
+class LoggedTask:
+    """Appends ``("execute", name)`` to ``EVENTS`` when it runs (serial
+    runs only: the log lives in this process)."""
+
+    name: str
+
+    kind = "logged"
+
+    def payload(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "name": self.name}
+
+    @cached_property
+    def key(self) -> str:
+        return task_key(self.payload())
+
+    def describe(self) -> str:
+        return self.name
+
+    def execute(self) -> Dict[str, Any]:
+        EVENTS.append(("execute", self.name))
+        return {"name": self.name}
+
+
+EVENTS: list = []
 
 
 @dataclass(frozen=True)
@@ -152,6 +206,31 @@ class TestSerialExecution:
             SOURCE_DEDUP,
         ]
 
+    def test_progress_follows_each_task_before_the_next_runs(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_campaign([LoggedTask("cached")], cache=cache)
+        EVENTS.clear()
+        ticks = []
+
+        def progress(record, done, total):
+            EVENTS.append(("progress", record.label))
+            ticks.append((done, total))
+
+        tasks = [
+            LoggedTask("a"), LoggedTask("cached"), LoggedTask("a"),
+            LoggedTask("b"),
+        ]
+        report = run_campaign(tasks, cache=cache, on_progress=progress)
+        assert [r.source for r in report.records] == [
+            SOURCE_EXECUTED, SOURCE_CACHE, SOURCE_DEDUP, SOURCE_EXECUTED,
+        ]
+        assert EVENTS == [
+            ("progress", "cached"),
+            ("execute", "a"), ("progress", "a"),
+            ("execute", "b"), ("progress", "b"),
+        ]
+        assert ticks == [(1, 3), (2, 3), (3, 3)]
+
     def test_invalid_arguments(self):
         with pytest.raises(CampaignError, match="jobs"):
             run_campaign([AddTask(1, 2)], jobs=0)
@@ -215,17 +294,23 @@ class TestResume:
             run_campaign([AddTask(1, 2)], cache=cache, resume="ghost")
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
+
+
+@pytest.mark.usefixtures("no_backoff")
 class TestRetries:
     def test_serial_retry_recovers(self, tmp_path):
         task = FlakyTask(marker=str(tmp_path / "flaky1"), fail_times=2)
-        report = run_campaign([task], retries=2, backoff_s=0.0)
+        report = run_campaign([task], retries=2)
         assert report.ok
         assert report.records[0].attempts == 3
         assert report.stats.retries == 2
 
     def test_serial_retries_exhausted(self, tmp_path):
         task = FlakyTask(marker=str(tmp_path / "flaky2"), fail_times=5)
-        report = run_campaign([task], retries=1, backoff_s=0.0)
+        report = run_campaign([task], retries=1)
         assert not report.ok
         assert report.stats.failures == 1
         assert "flaky failure" in report.failures()[0].error
@@ -233,28 +318,52 @@ class TestRetries:
     def test_failure_does_not_abort_campaign(self, tmp_path):
         bad = FlakyTask(marker=str(tmp_path / "flaky3"), fail_times=9)
         good = AddTask(2, 2)
-        report = run_campaign([bad, good], retries=0, backoff_s=0.0)
+        report = run_campaign([bad, good], retries=0)
         assert not report.ok
         assert report.payloads()[0] is None
         assert report.payloads()[1] == {"sum": 4}
 
     def test_parallel_retry_recovers(self, tmp_path):
         task = FlakyTask(marker=str(tmp_path / "flaky4"), fail_times=1)
-        report = run_campaign(
-            [task, AddTask(1, 1)], jobs=2, retries=2, backoff_s=0.0
-        )
+        report = run_campaign([task, AddTask(1, 1)], jobs=2, retries=2)
         assert report.ok
         assert report.stats.retries == 1
 
     def test_worker_crash_recovers_on_fresh_pool(self, tmp_path):
         task = CrashTask(marker=str(tmp_path / "crash1"))
-        report = run_campaign(
-            [task, AddTask(4, 4)], jobs=2, retries=2, backoff_s=0.0
-        )
+        report = run_campaign([task, AddTask(4, 4)], jobs=2, retries=2)
         assert report.ok
         crash_record = report.records[0]
         assert crash_record.payload == {"survived": True}
         assert crash_record.attempts >= 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_failure_runs_once(self, tmp_path, jobs):
+        marker = tmp_path / f"bad{jobs}"
+        report = run_campaign(
+            [BadConfigTask(marker=str(marker)), AddTask(1, 1)],
+            jobs=jobs, retries=2,
+        )
+        assert marker.read_text() == "1"
+        assert report.records[0].attempts == 1
+        assert report.records[0].error == "ConfigError: invalid point"
+        assert report.stats.retries == 0
+        assert report.payloads()[1] == {"sum": 2}
+
+
+def test_run_plan_fails_fast_on_deterministic_error(tmp_path):
+    import time
+
+    from repro.campaign.plan import CampaignPlan, run_plan
+
+    plan = CampaignPlan(
+        tasks=[BadConfigTask(marker=str(tmp_path / "plan"))],
+        assemble=lambda payloads: payloads,
+    )
+    start = time.monotonic()
+    with pytest.raises(CampaignError, match="bad-config"):
+        run_plan(plan)
+    assert time.monotonic() - start < 0.2
 
 
 class TestParallelEquivalence:
