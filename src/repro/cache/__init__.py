@@ -7,7 +7,9 @@
   numpy pass per block of accesses.
 * :mod:`repro.cache.profile` -- one stack-distance pass per trace; its
   ``hit_counts``/``miss_counts`` are the per-depth counters of the
-  extended LRU list (paper Fig. 3) at every memory size.
+  extended LRU list (paper Fig. 3) at every memory size, and the one
+  place stack depths become miss counts (a miss-ratio curve is
+  ``miss_counts`` over a range of sizes).
 * :mod:`repro.cache.ghost` -- a literal extended LRU list (resident +
   replaced pages), used for tests and small workloads; the tracker +
   profile pair is the fast equivalent.
@@ -19,7 +21,6 @@
 
 from repro.cache.ghost import ExtendedLRUList
 from repro.cache.lru import LRUCache
-from repro.cache.mrc import MissRatioCurve, build_mrc, working_set_pages
 from repro.cache.predictor import CandidatePrediction, ResizePredictor
 from repro.cache.readahead import ReadaheadClusterer
 from repro.cache.stack_distance import COLD, StackDistanceTracker
@@ -29,9 +30,6 @@ __all__ = [
     "CandidatePrediction",
     "ExtendedLRUList",
     "LRUCache",
-    "MissRatioCurve",
-    "build_mrc",
-    "working_set_pages",
     "ReadaheadClusterer",
     "ResizePredictor",
     "StackDistanceTracker",

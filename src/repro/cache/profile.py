@@ -49,9 +49,9 @@ PROFILE_SCHEMA = 1
 #: Default in-process memo capacity (profiles are O(trace) sized).
 DEFAULT_MEMO_CAPACITY = 8
 
-#: Environment override for the memo capacity.  Cross-trace grid sweeps
-#: (:mod:`repro.campaign.gridscan`) revisit many profiles round-robin,
-#: so the 8-entry default thrashes; raise it for such runs.
+#: Environment override for the memo capacity.  A run that revisits
+#: more than eight traces round-robin thrashes the default; raise it
+#: for such runs.
 PROFILE_MEMO_ENV = "REPRO_PROFILE_MEMO"
 
 #: Environment switch: set to ``0``/``off`` to disable profile use and
@@ -117,20 +117,15 @@ class TraceProfile:
     def num_accesses(self) -> int:
         return len(self)
 
-    def hit_mask(self, capacity_pages: int, length: Optional[int] = None) -> np.ndarray:
-        """Boolean hit flags for an LRU cache of ``capacity_pages`` pages.
-
-        ``length`` truncates to the first accesses (duration clipping).
-        """
-        depths = self.depths if length is None else self.depths[:length]
-        return (depths >= 0) & (depths < capacity_pages)
+    def hit_mask(self, capacity_pages: int) -> np.ndarray:
+        """Boolean hit flags for an LRU cache of ``capacity_pages`` pages."""
+        return (self.depths >= 0) & (self.depths < capacity_pages)
 
     def sorted_depths(self) -> np.ndarray:
         """The depths sorted ascending, cached after the first call.
 
         Cold accesses (``-1``) sort first, so the hit count of *every*
-        capacity is two ``searchsorted`` calls away -- the backbone of
-        the cross-trace grid sweeps (:mod:`repro.campaign.gridscan`).
+        capacity is two ``searchsorted`` calls away (:meth:`hit_counts`).
         """
         cached = getattr(self, "_sorted_depths", None)
         if cached is None:

@@ -8,7 +8,6 @@ task model and cache-key definition.
 """
 
 from repro.campaign.cache import CACHE_ENV, NullCache, ResultCache, default_cache_root
-from repro.campaign.gridscan import GridScanResult, grid_scan, naive_grid_scan
 from repro.campaign.executor import (
     CampaignReport,
     CampaignStats,
@@ -41,7 +40,6 @@ __all__ = [
     "CampaignStats",
     "ExperimentTask",
     "GridPoint",
-    "GridScanResult",
     "NullCache",
     "ResultCache",
     "RunJournal",
@@ -56,9 +54,7 @@ __all__ = [
     "default_cache_root",
     "digest",
     "grid_plan",
-    "grid_scan",
     "grid_tasks",
-    "naive_grid_scan",
     "read_events",
     "resolve_methods",
     "run_campaign",

@@ -1,6 +1,6 @@
 """The benchmark suites behind ``repro bench``.
 
-Four suites, each emitting one JSON document:
+Seven suites, each emitting one JSON document:
 
 * ``micro`` (``BENCH_micro.json``) -- data-structure and single-replay
   timings: batched stack-distance tracking, profile construction, and
@@ -20,12 +20,10 @@ Four suites, each emitting one JSON document:
   (``end_period_speedup``).
 * ``fullres`` (``BENCH_fullres.json``) -- the paper-scale pipeline: the
   chunked generate-and-replay path vs its materialized twin (wall-clock
-  parity and a tracemalloc peak-memory ratio, both gated), the write
-  and disable replay kernels vs their scalar loops, and the batched
-  cross-trace grid sweep (:mod:`repro.campaign.gridscan`) vs the
-  per-cell reference.  The memory entries use a ``scale=1`` workload so
-  the materialized arrays actually dominate; everything else runs at
-  the standard bench scale.
+  parity and a tracemalloc peak-memory ratio, both gated), and the
+  write and disable replay kernels vs their scalar loops.  The memory
+  entries use a ``scale=1`` workload so the materialized arrays
+  actually dominate; everything else runs at the standard bench scale.
 * ``missrun`` (``BENCH_missrun.json``) -- the miss-run kernel on a
   miss-heavy workload (a dataset four times the memory, so capacity
   misses dominate): the batched miss-run replay vs the scalar loop on
@@ -576,11 +574,9 @@ def _traced_peak(fn: Callable[[], Any]) -> int:
 
 
 def _suite_fullres(quick: bool) -> Dict[str, Any]:
-    from repro.campaign.gridscan import grid_scan, naive_grid_scan
-    from repro.cache.profile import get_profile, kernels_off
+    from repro.cache.profile import kernels_off
     from repro.sim.runner import run_chunked
     from repro.traces.specweb import generate_trace_chunked
-    from repro.traces.suites import build
 
     repeats = 2 if quick else 3
     entries: Dict[str, Any] = {}
@@ -726,40 +722,6 @@ def _suite_fullres(quick: bool) -> Dict[str, Any]:
         disable_scalar / disable_fast,
         "scalar ($REPRO_KERNELS=0) / disable-kernel wall-clock, "
         "live-bank fast path",
-    )
-
-    # -- batched cross-trace grid vs the per-cell reference ------------
-    grid_machine = scaled_machine(1024)
-    duration = 600.0 if quick else 1200.0
-    grid_traces = [
-        build("paper-default", grid_machine, duration, seed=seed)
-        for seed in (3, 5, 9)
-    ]
-    page = grid_machine.page_bytes
-    sizes = [page * (1 << k) for k in range(0, 12, 2)]
-    timeouts = [float(t) for t in (0.5, 2.0, 8.0, 15.2, 30.0, 120.0, 600.0)]
-    cells = len(grid_traces) * len(sizes) * len(timeouts)
-    # Profiles are shared state (memo / result cache) under either
-    # evaluator, so warm them outside the timed window: the ratio
-    # measures the per-cell sweep work the batching removes.
-    clear_memo()
-    for grid_trace in grid_traces:
-        get_profile(grid_trace)
-
-    naive_wall = _best_of(
-        lambda: naive_grid_scan(grid_traces, grid_machine, sizes, timeouts),
-        repeats,
-    )
-    entries["grid_naive"] = _time_entry(naive_wall, cells)
-
-    batched_wall = _best_of(
-        lambda: grid_scan(grid_traces, grid_machine, sizes, timeouts), repeats
-    )
-    entries["grid_batched"] = _time_entry(batched_wall, cells)
-    entries["grid_speedup"] = _ratio_entry(
-        naive_wall / batched_wall,
-        f"per-cell reference / batched pass, {cells} "
-        "(trace x size x timeout) cells, profiles memoized up front",
     )
     return entries
 

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.config.machine import MachineConfig, paper_machine
 from repro.core.joint import PeriodDecision
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.service.sessions import SessionRegistry, SessionStats
 from repro.sim.results import SimResult
 
@@ -111,7 +111,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     raise ValueError("request must be a JSON object")
                 op = request.get("op")
                 response = daemon.dispatch(request)
-            except SimulationError as exc:
+            except ReproError as exc:
                 response = {"ok": False, "error": str(exc)}
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 response = {"ok": False, "error": f"bad request: {exc}"}

@@ -133,7 +133,9 @@ def run_chunked(
     ``chunk_accesses`` plus the streaming buffer (one epoch of pending
     accesses), never the full trace.  The default duration rounds the
     last access up to a whole number of periods, exactly as
-    ``engine.run`` does.
+    ``engine.run`` does.  An explicit duration drops the accesses at or
+    past it, as the engine's walk does, and stops reading the source at
+    the first of them.
 
     ``prefill`` seeds the caches (``run_method``'s ``warm_start`` needs
     the full trace to compute its prefill, so chunked runs default to a
@@ -151,7 +153,13 @@ def run_chunked(
         label=label,
     )
     for chunk in source.chunks(chunk_accesses):
-        stream.feed(chunk.times, chunk.pages, chunk.writes)
+        n = chunk.times.size
+        if duration_s is not None:
+            n = int(np.searchsorted(chunk.times, duration_s, side="left"))
+        writes = None if chunk.writes is None else chunk.writes[:n]
+        stream.feed(chunk.times[:n], chunk.pages[:n], writes)
+        if n < chunk.times.size:
+            break  # the source is time-ordered: nothing later counts
     return stream.close(duration_s)
 
 

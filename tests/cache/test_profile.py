@@ -63,11 +63,6 @@ class TestHitMask:
         )
         assert np.array_equal(profile.hit_mask(capacity), expected)
 
-    def test_length_truncates(self):
-        trace = make_trace(seed=3)
-        profile = build_profile(trace)
-        assert profile.hit_mask(8, length=10).shape == (10,)
-
 
 class TestVectorizedCounts:
     def test_hit_counts_match_hit_mask(self):
@@ -92,6 +87,18 @@ class TestVectorizedCounts:
             [int(profile.hit_mask(int(m)).sum()) for m in capacities]
         )
         assert np.array_equal(profile.hit_counts(capacities), expected)
+
+    def test_loop_misses_everything_below_its_length(self):
+        """LRU's pathological case: a 3-page loop misses every access
+        below 3 pages and only its 3 cold misses from 3 pages up."""
+        trace = Trace(
+            times=np.arange(30, dtype=float),
+            pages=np.array([0, 1, 2] * 10, dtype=np.int64),
+            page_size=4096,
+        )
+        profile = build_profile(trace, warm_start=False)
+        misses = profile.miss_counts([0, 1, 2, 3, 100])
+        assert misses.tolist() == [30, 30, 30, 3, 3]
 
     def test_sorted_depths_cached_and_frozen(self):
         profile = build_profile(make_trace(seed=23))

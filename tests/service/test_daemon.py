@@ -110,11 +110,15 @@ class TestErrors:
 
 @pytest.mark.parametrize(
     "line",
-    [b"not json", b"[1]", b'"x"', b"42", b"null", b"\xff\xfe", b"[" * 100_000],
-    ids=["text", "list", "str", "int", "null", "not-utf8", "deep-nesting"],
+    [b"not json", b"[1]", b'"x"', b"42", b"null", b"\xff\xfe", b"[" * 100_000,
+     b'{"op": "open_session", "method": "NOPE"}',
+     b'{"op": "open_session", "method": "JOINT", "scale": 0}'],
+    ids=["text", "list", "str", "int", "null", "not-utf8", "deep-nesting",
+         "policy-error", "config-error"],
 )
 def test_malformed_line_keeps_connection(daemon, line):
-    """Every malformed line gets an error reply; the socket stays open."""
+    """Every malformed line, and every request a package error rejects,
+    gets an error reply; the socket stays open."""
     with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
         reader = sock.makefile("rb")
         sock.sendall(line + b"\n")

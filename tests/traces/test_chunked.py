@@ -33,6 +33,7 @@ from repro.traces.modulation import (
 )
 from repro.traces.specweb import generate_trace, generate_trace_chunked
 from repro.traces.suites import build, build_chunked, suite_names
+from repro.traces.trace import Trace
 from repro.traces.synthesizer import scale_data_rate, scale_data_rate_chunked
 from repro.traces.trace_io import (
     load_csv,
@@ -277,6 +278,28 @@ class TestChunkedReplay:
         streamed = run_chunked(
             "2TFM-8GB", source, machine, chunk_accesses=1500
         )
+        assert_results_identical(offline, streamed)
+
+    @pytest.mark.parametrize("chunk_accesses", [1, 3])
+    def test_clips_at_duration(self, machine, chunk_accesses):
+        """Accesses at or past ``duration_s`` are dropped, as the
+        offline walk drops them, instead of outrunning the close."""
+        trace = Trace(
+            times=np.array([0.5, 10.0, 20.0, 29.0, 30.0, 30.002, 31.0]),
+            pages=np.array([0, 1, 0, 2, 3, 1, 4], dtype=np.int64),
+            page_size=machine.page_bytes,
+        )
+        offline = run_method(
+            "2TNAP", trace, machine, duration_s=30.0, warm_start=False
+        )
+        streamed = run_chunked(
+            "2TNAP",
+            chunk_trace(trace),
+            machine,
+            duration_s=30.0,
+            chunk_accesses=chunk_accesses,
+        )
+        assert offline.total_accesses == 4
         assert_results_identical(offline, streamed)
 
     def test_pending_ring_stays_bounded(self, machine):
