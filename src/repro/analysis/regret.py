@@ -183,7 +183,7 @@ def compute_regret(
     replay starts from the same prefilled resident set, which is what
     makes ``OPT <= online`` hold access-for-access.
     """
-    if trace.writes is not None and bool(trace.writes.any()):
+    if trace.has_writes:
         raise SimulationError(
             "regret is defined for read-only traces (write-back flushes "
             "are not part of the paging model the oracle bounds)"

@@ -36,9 +36,11 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
+from repro.errors import ReproError
 from repro.experiments.base import full_config, quick_config
 from repro.experiments.registry import get_plan, list_experiments
 from repro.policies.registry import standard_methods
@@ -53,8 +55,39 @@ _SCALE_HELP = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag the way ``main`` reports every other input
+    error: usage, then one ``error: ...`` line, exit status 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error: {message}\n")
+
+
+def _number(convert, ok, expected: str) -> Callable[[str], float]:
+    """An argparse ``type=``: the ``convert``-ed flag if ``ok`` accepts it
+    (every bound is a comparison, so NaN never passes), else an error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_FRACTION = _number(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
+_COUNT = _number(int, lambda n: n >= 1, "an integer >= 1")
+_NATURAL = _number(int, lambda n: n >= 0, "an integer >= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Joint Power Management of Memory and Disk (DATE 2005) -- "
@@ -101,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--retries",
-        type=int,
+        type=_NATURAL,
         default=2,
         help="extra attempts per task after a crash (default 2)",
     )
@@ -138,12 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--block-csv",
         help="import a time,offset,size block trace instead of generating",
     )
-    trace.add_argument("--dataset-gb", type=float, default=16.0)
-    trace.add_argument("--rate-mb", type=float, default=100.0)
-    trace.add_argument("--popularity", type=float, default=0.1)
-    trace.add_argument("--duration-s", type=float, default=1800.0)
-    trace.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
-    trace.add_argument("--seed", type=int, default=42)
+    trace.add_argument("--dataset-gb", type=_POSITIVE, default=16.0)
+    trace.add_argument("--rate-mb", type=_POSITIVE, default=100.0)
+    trace.add_argument("--popularity", type=_FRACTION, default=0.1)
+    trace.add_argument("--duration-s", type=_POSITIVE, default=1800.0)
+    trace.add_argument("--scale", type=_COUNT, default=1024, help=_SCALE_HELP)
+    trace.add_argument("--seed", type=_NATURAL, default=42)
     trace.add_argument("--save", help="write the trace to this .npz path")
 
     verify = sub.add_parser(
@@ -152,11 +185,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--seeds",
-        type=int,
+        type=_COUNT,
         default=None,
         help="fuzzed workloads per check (default 50, 15 with --quick)",
     )
-    verify.add_argument("--first-seed", type=int, default=0)
+    verify.add_argument("--first-seed", type=_NATURAL, default=0)
     verify.add_argument(
         "--checks",
         help=(
@@ -166,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--max-accesses",
-        type=int,
+        type=_COUNT,
         default=None,
         help=(
             "upper bound on accesses per fuzzed workload "
@@ -186,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_campaign_options(verify, default_cache=False)
     verify.add_argument(
         "--chunk",
-        type=int,
+        type=_COUNT,
         help="seeds per campaign task (default: seeds / (4 * jobs))",
     )
 
@@ -224,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--tolerance",
-        type=float,
+        type=_number(float, lambda x: 0 <= x < 1, "a number in [0, 1)"),
         default=0.30,
         help="allowed fractional drop of gated entries (default 0.30)",
     )
@@ -243,19 +276,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_number(int, lambda n: 0 <= n <= 65535, "a port in [0, 65535]"),
         default=0,
         help="TCP port (default: 0 = ephemeral; the bound port is printed)",
     )
     serve.add_argument(
         "--idle-timeout-s",
-        type=float,
+        type=_POSITIVE,
         default=None,
         help="evict tenant sessions idle longer than this (default: never)",
     )
     serve.add_argument(
         "--max-sessions",
-        type=int,
+        type=_COUNT,
         default=1024,
         help="cap on concurrently open sessions (default 1024)",
     )
@@ -270,17 +303,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-shard method, e.g. PTNAP or 2TNAP (default PTNAP)",
     )
     fleet.add_argument(
-        "--tenants", type=int, default=6, help="tenant workloads (default 6)"
+        "--tenants", type=_COUNT, default=6, help="tenant workloads (default 6)"
     )
     fleet.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=3,
         help="independent shards tenants hash onto (default 3)",
     )
     fleet.add_argument(
         "--disks-per-shard",
-        type=int,
+        type=_COUNT,
         default=2,
         help="spindles per shard (default 2; layout `sim` requires 1)",
     )
@@ -293,13 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "shard on the single-disk kernels)"
         ),
     )
-    fleet.add_argument("--dataset-gb", type=float, default=1.0)
-    fleet.add_argument("--rate-mb", type=float, default=2.0)
-    fleet.add_argument("--popularity", type=float, default=0.8)
-    fleet.add_argument("--periods", type=int, default=4)
-    fleet.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
+    fleet.add_argument("--dataset-gb", type=_POSITIVE, default=1.0)
+    fleet.add_argument("--rate-mb", type=_POSITIVE, default=2.0)
+    fleet.add_argument("--popularity", type=_FRACTION, default=0.8)
+    fleet.add_argument("--periods", type=_COUNT, default=4)
+    fleet.add_argument("--scale", type=_COUNT, default=1024, help=_SCALE_HELP)
     fleet.add_argument(
-        "--seed", type=int, default=42, help="tenant i draws seed+i"
+        "--seed", type=_NATURAL, default=42, help="tenant i draws seed+i"
     )
     fleet.add_argument(
         "--monolithic",
@@ -326,18 +359,18 @@ def _add_workload_options(
         "--suite",
         help="named workload (see repro.traces.suites) instead of the knobs below",
     )
-    parser.add_argument("--dataset-gb", type=float, default=16.0)
-    parser.add_argument("--rate-mb", type=float, default=100.0)
-    parser.add_argument("--popularity", type=float, default=0.1)
-    parser.add_argument("--periods", type=int, default=5)
+    parser.add_argument("--dataset-gb", type=_POSITIVE, default=16.0)
+    parser.add_argument("--rate-mb", type=_POSITIVE, default=100.0)
+    parser.add_argument("--popularity", type=_FRACTION, default=0.1)
+    parser.add_argument("--periods", type=_COUNT, default=5)
     parser.add_argument(
         "--warmup-periods",
-        type=int,
+        type=_NATURAL,
         default=1 if warmup else 0,
         help=None if warmup else argparse.SUPPRESS,
     )
-    parser.add_argument("--scale", type=int, default=1024, help=_SCALE_HELP)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--scale", type=_COUNT, default=1024, help=_SCALE_HELP)
+    parser.add_argument("--seed", type=_NATURAL, default=42)
 
 
 def _add_campaign_options(
@@ -345,7 +378,7 @@ def _add_campaign_options(
 ) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=1,
         help="worker processes (1 = serial, in this process)",
     )
@@ -709,7 +742,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: a ``ReproError`` (bad input the flags could not
+    rule out at parse time) prints ``error: <message>`` and returns 2."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "experiment": _cmd_experiment,
@@ -724,7 +758,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fleet": _cmd_fleet,
         "list": _cmd_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -110,11 +110,6 @@ class MemorySpec:
         """Static (nap-mode) power per byte of enabled memory, in watts."""
         return self.mode_power_watts["nap"] / self.chip_bytes
 
-    @property
-    def powerdown_power_per_byte(self) -> float:
-        """Power-down-mode power per byte, in watts."""
-        return self.mode_power_watts["powerdown"] / self.chip_bytes
-
     def bank_power(self, mode: str) -> float:
         """Power of one whole bank in ``mode``, in watts."""
         if mode not in self.mode_power_watts:

@@ -46,10 +46,6 @@ class RequestResult:
     def latency_s(self) -> float:
         return self.finish_s - self.arrival_s
 
-    @property
-    def queue_delay_s(self) -> float:
-        return self.start_s - self.arrival_s - self.wake_delay_s
-
 
 class SimDisk:
     """Power-managed drive fed time-ordered requests."""

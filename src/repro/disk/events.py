@@ -117,6 +117,3 @@ class DiskEventLog:
 
     def record_checkpoint(self, time_s: float) -> None:
         self.events.append(DiskEvent(kind=CHECKPOINT, time_s=time_s))
-
-    def of_kind(self, kind: str) -> List[DiskEvent]:
-        return [e for e in self.events if e.kind == kind]

@@ -62,9 +62,6 @@ class DiskGeometry:
         """Sectors on all tracks of one cylinder."""
         return self.sectors_per_track(cylinder) * self.num_heads
 
-    def cylinder_bytes(self, cylinder: int) -> float:
-        return self.cylinder_sectors(cylinder) * self.sector_bytes
-
     # --- cumulative capacity ------------------------------------------------------
 
     @property

@@ -265,7 +265,7 @@ class FleetEngine:
         if warmup_s < 0 or warmup_s >= duration_s:
             raise SimulationError("warm-up must be within the duration")
 
-        if trace.writes is not None and bool(trace.writes.any()):
+        if trace.has_writes:
             raise SimulationError(
                 "the fleet engine does not model write-back yet; "
                 "strip writes or use the single-disk SimulationEngine"

@@ -19,7 +19,3 @@ class MemoryMode(enum.Enum):
     NAP = "nap"
     POWERDOWN = "powerdown"
     DISABLE = "disable"
-
-    @property
-    def retains_data(self) -> bool:
-        return self is not MemoryMode.DISABLE

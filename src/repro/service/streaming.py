@@ -17,7 +17,9 @@ counter, every ``PeriodDecision`` including candidate evaluations -- to
 an offline ``engine.run`` of the same sequence with the same duration.
 The streaming replay therefore never reorders or re-times a single
 engine call; it only defers work until the incoming stream has proven
-the epoch complete:
+the epoch complete.  The joint manager decides once per period from
+that period's log, so the stream hands the replay core whole epochs,
+and one fire rule serves every replay mode:
 
 * A period boundary ``B`` fires as soon as a buffered access at
   ``t >= B`` with a *later* access behind it guarantees the epoch is
@@ -26,12 +28,17 @@ the epoch complete:
   default-duration close could still drop it (the duration cutoff of
   :meth:`SimulationEngine._walk`), which would turn ``B`` into a
   trailing boundary with a different event order.
-* Idle streams (``advance(now)``) fire boundaries past the last access
-  only while no read-ahead cluster is in flight.  The offline close
-  counts an unresolved cluster's request *before* trailing boundaries
-  but *after* interior ones, and which case applies depends on accesses
-  that have not arrived yet -- so those decisions defer to the next
-  ``feed`` or to ``close`` rather than risk a divergence.
+* With no such witness, ``B`` waits until the watermark is strictly
+  past it (``feed`` or an idle ``advance(now)``).  Its epoch then
+  replays, and ``B`` fires only if no read-ahead cluster is left in
+  flight.  The offline close counts an unresolved cluster's request
+  *before* trailing boundaries but *after* interior ones, and which
+  case applies depends on accesses that have not arrived yet -- so
+  that decision defers to the next ``feed`` or to ``close`` rather
+  than risk a divergence.
+* Manager-less runs have no decision to wait for: below the pending
+  boundary they also replay every access strictly below the watermark,
+  so their buffer holds one feed, not one period.
 * The final cluster flush at ``close`` is attributed to the metrics
   period that was current after the last processed access -- exactly
   where the offline close's ``on_request`` lands -- even when idle
@@ -97,10 +104,10 @@ class StreamingManager:
         whole number of periods, exactly as in ``engine.run``.
     expect_writes:
         Declare up front that the stream will carry writes.  Write-back
-        flushing interleaves with the access stream, so write streams
-        replay through the scalar loop.  Feeding a write without this
-        flag is an error (the fast paths have already classified
-        earlier accesses under read-only rules).
+        flushing interleaves with the access stream, so joint and
+        disable-model write streams replay through the scalar loop.
+        Feeding a write without this flag is an error (the fast paths
+        have already classified earlier accesses under read-only rules).
     max_buffered:
         Backpressure cap on the pending-access buffer (accesses fed but
         not yet proven replayable).  ``feed`` raises a clear
@@ -151,10 +158,9 @@ class StreamingManager:
 
         # The incremental Mattson pass: the same tracker, prefill and page
         # sequence build_profile would run offline, so the depths handed
-        # to the kernels are identical to a TraceProfile's.  The scalar
-        # and disable modes need none.
+        # to the kernels are identical to a TraceProfile's.
         self._tracker: Optional[StackDistanceTracker] = None
-        if self._st.mode not in (kernels.MODE_SCALAR, kernels.MODE_DISABLE):
+        if kernels.reads_depths(self._st.mode):
             self._tracker = StackDistanceTracker()
             if prefill:
                 self._tracker.access_array(prefill)
@@ -259,10 +265,10 @@ class StreamingManager:
 
         Moves the watermark without feeding data, letting period
         boundaries in an idle stream fire (an online controller still
-        re-decides every period).  Boundaries past the last access fire
-        only while no read-ahead cluster is unresolved -- see the module
-        docstring -- so a decision may defer to the next ``feed`` or to
-        ``close``.
+        re-decides every period).  A boundary past the last access fires
+        only once ``now`` is strictly past it and no read-ahead cluster
+        is unresolved -- see the module docstring -- so a decision may
+        defer to the next ``feed`` or to ``close``.
         """
         self._require_open()
         now = float(now)
@@ -378,22 +384,10 @@ class StreamingManager:
     # --- the pump ---------------------------------------------------------
 
     def _pump(self) -> None:
-        """Replay everything the watermark has proven complete."""
-        if self._st.mode == kernels.MODE_SCALAR:
-            self._pump_scalar()
-        else:
-            self._pump_fast()
-
-    def _pump_fast(self) -> None:
-        """Fast modes: fire each proven-complete boundary.
-
-        A boundary ``B`` is safe once a buffered access in
-        ``[B, watermark)`` witnesses it (that access is certain to be
-        replayed: every valid close duration is ``>= watermark``, so the
-        offline twin fires ``B`` in-loop at exactly that access).  With
-        no witness, an idle-stream fire is exact only while the
-        read-ahead clusterer is empty; otherwise the boundary waits.
-        """
+        """Replay everything the watermark has proven complete, firing
+        each boundary by the one rule of the module docstring: a witness
+        in ``[B, watermark)``, or a watermark past ``B`` and, once its
+        epoch has replayed, an empty read-ahead clusterer."""
         st = self._st
         engine = self._engine
         while True:
@@ -402,42 +396,23 @@ class StreamingManager:
             witnessed = (
                 cut < self._hi and float(self._times[cut]) < self.watermark
             )
-            if not witnessed and not (
-                self.watermark > boundary and st.clusterer._pending is None
-            ):
+            if not witnessed and self.watermark <= boundary:
                 break
             self._replay(cut)
+            if not witnessed and st.clusterer._pending is not None:
+                break
             engine._drain_events(st, boundary)
             st.resident = min(st.resident, engine.memory.capacity_pages)
         if engine.manager is None:
-            # Manager-less modes can also drain mid-period: with no
-            # epoch decisions pending, replaying any prefix strictly
-            # below the watermark is bit-exact even when it splits a hit
-            # run -- dynamic energy is an integer-count product, the
-            # clock advance is idempotent, and the per-bank/static
-            # accruals, LRU touches and metrics counters are all
-            # per-access sequential, so two sub-runs charge exactly what
-            # the unsplit run charges.  At this point every buffered
-            # access below the watermark also lies below the pending
-            # boundary (otherwise it would have witnessed it above), so
-            # the span cannot cross an unfired period close.  This keeps
-            # the pending ring bounded by the feed granularity instead
-            # of a full period (~15 M accesses at scale=1).
+            # No decision waits on the open epoch, so replay the rest
+            # strictly below the watermark too.  Splitting a hit run is
+            # bit-exact (dynamic energy is an integer-count product, the
+            # clock advance is idempotent, the accruals, LRU touches and
+            # counters are per-access sequential), and every such access
+            # lies below the pending boundary, else it would have
+            # witnessed it.  The ring holds one feed, not one period
+            # (~15 M accesses at scale=1).
             self._replay(self._cut(self.watermark))
-
-    def _pump_scalar(self) -> None:
-        """Scalar mode: walk the accesses strictly below the watermark.
-
-        An access at exactly the watermark is held back -- a
-        default-duration close could still drop it.  The walk cuts the
-        prefix into one span per epoch, as offline.  Trailing events
-        (boundaries and write-back flushes past the last access) fire
-        only while the clusterer is empty, same as the fast pump.
-        """
-        st = self._st
-        self._walk(self._cut(self.watermark))
-        if st.clusterer._pending is None:
-            self._engine._drain_events(st, self.watermark)
 
     def _cut(self, at_s: float, side: str = "left") -> int:
         """Index of the first pending access at (``side='left'``) or past
@@ -453,19 +428,13 @@ class StreamingManager:
             self._engine._replay_span(self._st, self._lo, hi)
             self._processed(hi)
 
-    def _walk(self, hi: int) -> int:
-        """Walk pending accesses ``[_lo, hi)`` epoch by epoch, as offline;
-        returns the duration cutoff (:meth:`SimulationEngine._walk`)."""
-        cut = self._engine._walk(self._st, self._lo, hi)
-        if cut > self._lo:
-            self._processed(cut)
-        return cut
-
     def _replay_tail(self) -> None:
         """Close-time tail: walk every pending access below the duration
-        exactly as the offline run walks its final accesses, drop the
-        rest."""
-        cut = self._walk(self._hi)
+        epoch by epoch, exactly as the offline run walks its final
+        accesses (:meth:`SimulationEngine._walk`), and drop the rest."""
+        cut = self._engine._walk(self._st, self._lo, self._hi)
+        if cut > self._lo:
+            self._processed(cut)
         self.accesses_dropped += self._hi - cut
         self._lo = self._hi
 

@@ -187,9 +187,8 @@ class SimulationEngine:
                 "memory system and joint manager disagree on the initial size"
             )
 
-        has_writes = trace.writes is not None and bool(trace.writes.any())
         covered = profile is not None and len(profile) == trace.num_accesses
-        st = self._start(has_writes, duration_s, warmup_s, covered)
+        st = self._start(trace.has_writes, duration_s, warmup_s, covered)
         st.times, st.pages, st.writes = trace.times, trace.pages, trace.writes
         st.depths = profile.depths if covered else None
         self._walk(st, 0, trace.num_accesses)

@@ -185,11 +185,17 @@ def select_mode(
     return MODE_VECTORIZED, None
 
 
+def reads_depths(mode: str) -> bool:
+    """True when replay ``mode`` classifies accesses from stack depths
+    (every mode but the scalar loop and the disable model's live-state
+    replay), so a run in it needs a profile or a tracker."""
+    return mode not in (MODE_SCALAR, MODE_DISABLE)
+
+
 def fast_path_reason(engine, trace, profile: Optional[TraceProfile]) -> Optional[str]:
     """Why a run of ``trace`` cannot take a fast path (None = it can)."""
-    has_writes = trace.writes is not None and bool(trace.writes.any())
     covered = profile is not None and len(profile) == trace.num_accesses
-    return select_mode(engine, has_writes, covered)[1]
+    return select_mode(engine, trace.has_writes, covered)[1]
 
 
 def _profiled_span(engine, st, lo: int, hi: int) -> None:

@@ -219,10 +219,6 @@ class MetricsCollector:
         return self._current.start_s
 
     @property
-    def current_period_accesses(self) -> int:
-        return self._current.accesses
-
-    @property
     def mean_latency_s(self) -> float:
         """Average latency over *all* disk-cache accesses (hits are free)."""
         if self.total_accesses == 0:

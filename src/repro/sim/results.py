@@ -113,12 +113,6 @@ class SimResult(RunTotals):
     #: ``run_method(..., regret=True)`` / ``repro regret``).
     regret: Optional[RegretSummary] = None
 
-    @property
-    def average_power_w(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.total_energy_j / self.duration_s
-
 
 @dataclass(frozen=True)
 class NormalizedResult:

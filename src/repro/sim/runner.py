@@ -6,13 +6,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cache.profile import TraceProfile, get_profile, kernels_enabled
+from repro.cache.profile import TraceProfile, get_profile
 from repro.config.machine import MachineConfig
 from repro.core.joint import JointPowerManager
 from repro.errors import SimulationError
-from repro.memory.system import supports_profiled_replay
 from repro.policies.base import DiskPolicy
 from repro.policies.registry import MethodSpec, parse_method
+from repro.sim import kernels
 from repro.sim.engine import SimulationEngine
 from repro.sim.prefill import warm_start_pages
 from repro.sim.results import SimResult
@@ -55,9 +55,7 @@ def run_method(
     spec = parse_method(method) if isinstance(method, str) else method
     prefill = warm_start_pages(trace) if warm_start else []
     engine = build_engine(spec, machine, prefill)
-    run_profile = _resolve_profile(
-        profile, trace, warm_start, engine.memory, joint=spec.is_joint
-    )
+    run_profile = _resolve_profile(profile, trace, warm_start, engine)
     if spec.disk == "OR":
         engine.idle_hints = _collect_miss_times(
             spec, trace, machine, duration_s, prefill, run_profile
@@ -149,7 +147,7 @@ def run_chunked(
         machine,
         prefill=prefill,
         warmup_s=warmup_s,
-        expect_writes=bool(getattr(source, "has_writes", False)),
+        expect_writes=source.has_writes,
         label=label,
     )
     for chunk in source.chunks(chunk_accesses):
@@ -167,16 +165,14 @@ def _resolve_profile(
     profile: Union[str, TraceProfile, None],
     trace: Trace,
     warm_start: bool,
-    memory,
-    joint: bool = False,
+    engine: SimulationEngine,
 ) -> Optional[TraceProfile]:
-    """The profile to hand the engine, or None for the scalar loop.
+    """The profile to hand the engine, or None when its run reads no
+    stack depths.
 
-    ``"auto"`` skips the (one-pass, but O(trace)) profile build whenever
-    the run would fall back anyway, and honours the ``$REPRO_KERNELS``
-    kill switch.  The disable model never needs a profile (its fast
-    mode replays from live bank state), and joint write-back runs stay
-    scalar, so neither triggers a build.
+    ``"auto"`` builds or recalls the (one-pass, but O(trace)) profile
+    only when the mode :func:`repro.sim.kernels.select_mode` picks for
+    the run, depths given, reads them (:func:`repro.sim.kernels.reads_depths`).
     """
     if profile is None:
         return None
@@ -186,11 +182,8 @@ def _resolve_profile(
         raise SimulationError(
             "profile must be 'auto', None or a TraceProfile"
         )
-    if not kernels_enabled():
-        return None
-    if not supports_profiled_replay(memory):
-        return None
-    if joint and trace.writes is not None and bool(trace.writes.any()):
+    mode, _ = kernels.select_mode(engine, trace.has_writes, True)
+    if not kernels.reads_depths(mode):
         return None
     return get_profile(trace, warm_start=warm_start)
 

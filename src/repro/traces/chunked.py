@@ -163,7 +163,7 @@ def chunk_trace(trace: Trace) -> ChunkedTrace:
         page_size=trace.page_size,
         num_accesses=n,
         duration_s=trace.duration_s,
-        has_writes=trace.writes is not None and bool(trace.writes.any()),
+        has_writes=trace.has_writes,
         meta=dict(trace.meta),
     )
 

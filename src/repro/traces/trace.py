@@ -135,6 +135,11 @@ class Trace:
         return float(self.writes.mean())
 
     @property
+    def has_writes(self) -> bool:
+        """True when at least one access is a write."""
+        return self.writes is not None and bool(self.writes.any())
+
+    @property
     def unique_pages(self) -> int:
         """Number of distinct pages touched (working-set size in pages)."""
         if self.num_accesses == 0:

@@ -35,20 +35,6 @@ MILLIJOULES: float = 1e-3
 JOULES: float = 1.0
 
 
-def bytes_to_pages(size_bytes: float, page_size: int = PAGE_SIZE) -> int:
-    """Number of whole pages needed to hold ``size_bytes`` (ceiling)."""
-    if size_bytes < 0:
-        raise ValueError(f"size must be non-negative, got {size_bytes}")
-    return int(-(-int(size_bytes) // page_size))
-
-
-def pages_to_bytes(pages: int, page_size: int = PAGE_SIZE) -> int:
-    """Size in bytes of ``pages`` whole pages."""
-    if pages < 0:
-        raise ValueError(f"page count must be non-negative, got {pages}")
-    return pages * page_size
-
-
 def mb(size_bytes: float) -> float:
     """Express a byte count in mebibytes (for display)."""
     return size_bytes / MB

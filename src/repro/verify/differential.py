@@ -840,7 +840,9 @@ _STREAM_METHODS = {
 
 def _stream_scenario(case, machine, rng) -> _Scenario:
     """A ``StreamingManager`` fed the stretched stream in ragged batches
-    (empty ones included) with idle ``advance`` calls in the gaps, one
+    (empty ones included, half the seeds ending one batch at a period
+    boundary) with idle ``advance`` calls in the gaps -- half the gaps
+    that hold a period boundary first advance exactly onto it -- one
     access often snapped onto an exact period boundary, and closed at
     the offline duration; the reference is ``run_method`` on the same
     sequence."""
@@ -866,10 +868,14 @@ def _stream_scenario(case, machine, rng) -> _Scenario:
     warm = bool(rng.integers(0, 2))
     duration = float(max(int(np.ceil(float(times[-1]) / period)), 1) * period)
     prefill = warm_start_pages(trace) if warm else []
-    has_writes = writes is not None and bool(writes.any())
+    has_writes = trace.has_writes
     n = times.size
-    cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(1, 8))).tolist())
-    bounds = [0] + cuts + [n]
+    cuts = rng.integers(0, n + 1, size=int(rng.integers(1, 8))).tolist()
+    if rng.random() < 0.5:
+        # End one batch at a period boundary, so its gap holds one.
+        edge = period * int(rng.integers(1, 4))
+        cuts.append(int(np.searchsorted(times, edge, side="left")))
+    bounds = [0] + sorted(cuts) + [n]
 
     def stream():
         manager = StreamingManager(
@@ -881,10 +887,15 @@ def _stream_scenario(case, machine, rng) -> _Scenario:
                 case.pages[lo:hi],
                 None if writes is None else writes[lo:hi],
             )
+            # Idle advances within the gap to the next batch: boundaries
+            # that the fire rule allows must not change the outcome.
+            next_first = float(times[hi]) if hi < n else duration
+            boundary = period * (np.floor(manager.watermark / period) + 1)
+            if boundary <= next_first and rng.random() < 0.5:
+                # Exactly on the gap's boundary: the tie the idle fire
+                # rule turns on.
+                manager.advance(float(boundary))
             if rng.random() < 0.4:
-                # Idle advance within the gap to the next batch: boundaries
-                # that the fire rule allows must not change the outcome.
-                next_first = float(times[hi]) if hi < n else duration
                 gap = next_first - manager.watermark
                 manager.advance(manager.watermark + rng.random() * max(gap, 0.0))
         return manager.close(duration), None

@@ -19,6 +19,7 @@ from repro.errors import SimulationError
 from repro.service.streaming import StreamingManager
 from repro.sim.prefill import warm_start_pages
 from repro.sim.runner import run_method
+from repro.traces.trace import Trace
 from repro.verify.differential import deep_diff
 
 METHODS = ["JOINT", "JOINT-NC", "2TNAP"]
@@ -227,6 +228,83 @@ def test_decisions_accumulate_incrementally(
     result = stream.close(duration)
     assert result.decisions[: len(seen)] == seen
     assert len(result.decisions) == 3
+
+
+class TestFireRule:
+    """One fire rule for every replay mode: a boundary fires when a
+    buffered access witnesses it, or once the watermark is strictly past
+    it with no read-ahead cluster in flight."""
+
+    def test_write_stream_keeps_open_epoch_pending(self, fast_machine):
+        period = fast_machine.manager.period_s
+        stream = StreamingManager("JOINT", fast_machine, expect_writes=True)
+        assert stream.replay_mode == "stream-scalar"
+        assert stream.feed([1.0, 2.0, 3.0], [0, 1, 2], [True, False, True]) == []
+        assert stream.pending_accesses == 3
+        # The access at period + 1 witnesses the boundary; the one at the
+        # watermark opens the next epoch.
+        fired = stream.feed([period + 1.0, period + 2.0], [3, 4], [False, True])
+        assert len(fired) == 1
+        assert stream.pending_accesses == 2
+
+    @pytest.mark.parametrize("session", ["epoch", "write-back", "kill-switch"])
+    def test_idle_boundary_fires_once_the_watermark_passes_it(
+        self, fast_machine, monkeypatch, session
+    ):
+        """An all-hit session (warm prefill: no cluster in flight) holds
+        a decision while the watermark sits exactly on the boundary."""
+        period = fast_machine.manager.period_s
+        times = np.array([1.0, 2.0, 3.0, 4.0, period + 1.0, period + 2.0])
+        pages = np.array([0, 1, 0, 1, 0, 1])
+        writes = None
+        if session == "write-back":
+            writes = np.array([False, True, False, False, True, False])
+        if session == "kill-switch":
+            monkeypatch.setenv("REPRO_KERNELS", "0")
+        trace = Trace(
+            times=times,
+            pages=pages,
+            page_size=fast_machine.page_bytes,
+            writes=writes,
+        )
+        stream = StreamingManager(
+            "JOINT",
+            fast_machine,
+            prefill=warm_start_pages(trace),
+            expect_writes=writes is not None,
+        )
+        mode = "stream-epoch" if session == "epoch" else "stream-scalar"
+        assert stream.replay_mode == mode
+        stream.feed(times[:4], pages[:4], None if writes is None else writes[:4])
+        assert stream.advance(period) == []
+        assert len(stream.advance(period + 0.5)) == 1
+        stream.feed(times[4:], pages[4:], None if writes is None else writes[4:])
+        offline = run_method(
+            "JOINT", trace, fast_machine, duration_s=2 * period,
+            warm_start=True,
+        )
+        result = stream.close()
+        assert result.disk_page_accesses == 0
+        assert_bit_identical(offline, result)
+
+    def test_trailing_boundary_sees_the_epochs_open_cluster(
+        self, fast_machine
+    ):
+        """The idle fire checks the clusterer *after* replaying the epoch:
+        three sequential misses leave a cluster open, and the access at
+        exactly 2P is dropped by the default close, so the boundary at P
+        is trailing and its decision must count that cluster's request."""
+        period = fast_machine.manager.period_s
+        times = np.array([1.0, 1.0001, 1.0002, 2 * period])
+        pages = np.array([5, 6, 7, 100])
+        trace = Trace(times=times, pages=pages, page_size=fast_machine.page_bytes)
+        offline = run_method(
+            "JOINT", trace, fast_machine, duration_s=2 * period,
+            warm_start=False,
+        )
+        stream = StreamingManager("JOINT", fast_machine)
+        stream.feed(times, pages)
+        assert_bit_identical(offline, stream.close())
 
 
 class TestValidation:

@@ -20,6 +20,21 @@ def _off_by_one_tracker():
     return buggy
 
 
+def _input_error(capsys, argv) -> str:
+    """Run ``argv`` expecting the CLI's input-error exit: status 2, an
+    ``error: ...`` line on stderr and no traceback; returns that line."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag at parse time
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
 class TestList:
     def test_lists_experiments_and_methods(self, capsys):
         assert main(["list"]) == 0
@@ -35,11 +50,8 @@ class TestExperiment:
         assert "Pareto" in out
         assert "t_opt_eq5_s" in out
 
-    def test_unknown_experiment_errors(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(["experiment", "fig99"])
+    def test_unknown_experiment_errors(self, capsys):
+        assert "fig99" in _input_error(capsys, ["experiment", "fig99"])
 
 
 class TestSimulate:
@@ -83,11 +95,25 @@ class TestSimulate:
         assert code == 0
         assert "JOINT" in capsys.readouterr().out
 
-    def test_bad_method_name(self):
-        from repro.errors import PolicyError
+    def test_bad_method_name(self, capsys):
+        line = _input_error(capsys, ["simulate", "NOPE-1GB", "--periods", "1"])
+        assert "NOPE-1GB" in line
 
-        with pytest.raises(PolicyError):
-            main(["simulate", "NOPE-1GB", "--periods", "1"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--periods", "0"],
+            ["--scale", "0"],
+            ["--dataset-gb", "-4"],
+            ["--dataset-gb", "nan"],
+            ["--rate-mb", "inf"],
+            ["--seed", "-1"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_out_of_range_flag_rejected(self, capsys, flags):
+        line = _input_error(capsys, ["simulate", "JOINT", *flags])
+        assert f"argument {flags[0]}" in line
 
 
 class TestReport:
@@ -246,11 +272,11 @@ class TestSuiteOption:
         assert code == 0
         assert "total energy" in capsys.readouterr().out
 
-    def test_unknown_suite_rejected(self):
-        from repro.errors import TraceError
-
-        with pytest.raises(TraceError):
-            main(["simulate", "JOINT", "--suite", "nope", "--periods", "1"])
+    def test_unknown_suite_rejected(self, capsys):
+        line = _input_error(
+            capsys, ["simulate", "JOINT", "--suite", "nope", "--periods", "1"]
+        )
+        assert "nope" in line
 
     def test_list_shows_suites(self, capsys):
         main(["list"])
@@ -395,11 +421,9 @@ class TestCampaignCommand:
         assert main(base + ["--resume", "r1"]) == 0
         assert "journal hits  1" in capsys.readouterr().out
 
-    def test_campaign_unknown_name_fails_fast(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            main(["campaign", "fig99", "--no-cache"])
+    def test_campaign_unknown_name_fails_fast(self, capsys):
+        line = _input_error(capsys, ["campaign", "fig99", "--no-cache"])
+        assert "fig99" in line
 
     def test_experiment_with_jobs_uses_campaign(self, capsys, tmp_path):
         args = [
