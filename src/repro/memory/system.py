@@ -529,18 +529,22 @@ class DisableMemorySystem(MemorySystem):
             pages.clear()
         self.banks_disabled += 1
 
-    def _place_page(self, page: int) -> None:
-        """Record the freshly loaded page in a bank with room."""
+    def _free_bank(self) -> int:
+        """The bank the next loaded page goes to: the fill bank, or the
+        first bank after it with room."""
         banks = len(self._last_access)
         per_bank = self.spec.pages_per_bank
         for probe in range(banks):
             bank = (self._fill_bank + probe) % banks
             if len(self._bank_pages[bank]) < per_bank:
-                self._bank_pages[bank].add(page)
-                self._page_bank[page] = bank
-                self._fill_bank = bank
-                return
+                return bank
         raise SimulationError("no bank has a free frame despite cache room")
+
+    def _place_page(self, page: int, bank: int) -> None:
+        """Record the freshly loaded page in ``bank``."""
+        self._bank_pages[bank].add(page)
+        self._page_bank[page] = bank
+        self._fill_bank = bank
 
     def _evict_bookkeeping(self, evicted: List[int]) -> None:
         for page in evicted:
@@ -549,7 +553,7 @@ class DisableMemorySystem(MemorySystem):
                 self._bank_pages[bank].discard(page)
 
     def _register_prefill(self, page: int) -> None:
-        self._place_page(page)
+        self._place_page(page, self._free_bank())
 
     # --- interface ------------------------------------------------------------------
 
@@ -645,8 +649,12 @@ class DisableMemorySystem(MemorySystem):
         if not self.cache.peek(page):
             # Zero-capacity cache: nothing to place.
             return
-        self._place_page(page)
-        bank = self._page_bank[page]
+        bank = self._free_bank()
+        if self._is_disabled(bank, now):
+            # The bank switched off while idle: the pages it held are
+            # gone before this one moves in.
+            self._invalidate_bank(bank)
+        self._place_page(page, bank)
         self._accrue_bank(bank, now)
         self._last_access[bank] = now
         self._accounted_until[bank] = max(self._accounted_until[bank], now)

@@ -101,15 +101,30 @@ class TestPlacement:
 class TestLazyDisablePaths:
     def test_miss_load_reenables_idle_bank_slot(self, spec):
         """A load can land in a bank that lazily disabled: the placement
-        re-enables it (last_access moves) without losing other banks."""
+        first drops the pages the bank lost, then re-enables it
+        (last_access moves) for the new page alone."""
         system = DisableMemorySystem(spec, timeout_s=50.0)
         # Fill both banks (8 pages).
         for page in range(8):
             system.access(0.0, page)
         # Far later, a brand-new page loads; its frame comes from an LRU
-        # eviction, and the touched bank is alive again afterwards.
+        # eviction (page 0, bank 0), and the touched bank is alive again
+        # afterwards, holding only the new page.
         assert system.access(1000.0, 99) is False
+        assert system.banks_disabled == 1
         assert system.access(1000.1, 99) is True
+        assert system.access(1000.2, 1) is False  # bank 0's stale page
+
+    def test_miss_into_disabled_bank_drops_its_stale_pages(self, spec):
+        """A miss placed into a bank past its disable deadline must not
+        bring the bank's old pages back to life."""
+        system = DisableMemorySystem(spec, timeout_s=100.0)
+        assert system.access(0.0, 0) is False  # page 0 -> bank 0
+        # Bank 0 was off from 100 s; page 1 still lands in it (fill order).
+        assert system.access(500.0, 1) is False
+        assert system.banks_disabled == 1
+        assert system.access(501.0, 0) is False
+        assert system.invalidation_misses == 0
 
     def test_energy_between_checkpoint_and_disable(self, spec):
         system = DisableMemorySystem(spec, timeout_s=100.0)
