@@ -76,6 +76,24 @@ class LRUCache:
             move(page)
         self.last_evicted = None
 
+    def refresh_run(self, loads: List[int], recency: Iterable[int]) -> None:
+        """Load the non-resident ``loads``, then make ``recency`` the most
+        recently used pages, in order.
+
+        What a run of accesses that evicts nothing leaves behind, given
+        the pages it loaded and all its distinct pages in order of last
+        use: one dictionary update per distinct page instead of one per
+        access.  Raises instead of evicting when the loads do not fit.
+        """
+        cached = self._pages
+        if len(cached) + len(loads) > self._capacity:
+            raise SimulationError("a refreshed run would overfill the cache")
+        cached.update(dict.fromkeys(loads))
+        move = cached.move_to_end
+        for page in recency:
+            move(page)
+        self.last_evicted = None
+
     def peek(self, page: int) -> bool:
         """True if resident, without updating recency."""
         return page in self._pages

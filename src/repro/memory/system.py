@@ -12,6 +12,7 @@ derived from the chip's peak power and bandwidth (paper Section III).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
@@ -20,6 +21,44 @@ from repro.cache.lru import LRUCache
 from repro.config.memory_spec import MemorySpec
 from repro.errors import SimulationError
 from repro.memory.energy import MemoryEnergy
+
+
+def _static_terms(now, start, boundary, nap_w: float, idle_w: float):
+    """Each row's (nap, idle) static charge, as the per-bank accruals add.
+
+    Row ``i`` accrues a bank from ``start[i]`` to ``now[i]``: it naps at
+    ``nap_w`` until ``boundary[i]`` and draws ``idle_w`` beyond it.  The
+    scalar accruals add a charge exactly when its duration is positive
+    -- the nap stretch ``min(now, boundary) - start`` and the idle
+    stretch ``now - max(boundary, start)`` -- so clamping both durations
+    at 0.0 gives their float64 values, and 0.0 where they add nothing.
+    """
+    if not idle_w:
+        # Nothing to charge past the boundary: the nap column alone.
+        terms = np.minimum(now, boundary)
+        terms -= start
+        np.maximum(terms, 0.0, out=terms)
+        terms *= nap_w
+        return terms
+    terms = np.empty((start.size, 2))
+    np.subtract(np.minimum(now, boundary), start, out=terms[:, 0])
+    np.subtract(now, np.maximum(boundary, start), out=terms[:, 1])
+    np.maximum(terms, 0.0, out=terms)
+    terms *= (nap_w, idle_w)
+    return terms
+
+
+def _fold_static(energy: MemoryEnergy, ledger) -> None:
+    """Add the ledger's charges to ``static_j`` one by one, row-major.
+
+    ``np.add.accumulate`` adds sequentially, so the total rounds exactly
+    as the scalar ``+=`` chain does (``np.sum`` sums pairwise and would
+    not); the ledger's 0.0 entries add nothing.
+    """
+    flat = ledger.ravel()
+    if flat.size:
+        flat[0] += energy.static_j
+        energy.static_j = float(np.add.accumulate(flat, out=flat)[-1])
 
 
 class MemorySystem:
@@ -228,17 +267,14 @@ class MemorySystem:
         if room <= 0:
             return 0
         selected = pages[-room:] if len(pages) > room else pages
-        placed = 0
-        for page in selected:
-            if not self.cache.peek(page):
-                self.cache.load(page)
-                self._register_prefill(page)
-                placed += 1
-        return placed
+        fresh = [page for page in dict.fromkeys(selected) if not self.cache.peek(page)]
+        self.cache.refresh_run(fresh, ())
+        self._register_prefill(fresh)
+        return len(fresh)
 
-    def _register_prefill(self, page: int) -> None:
-        """Hook for subclasses that track page placement."""
-        del page
+    def _register_prefill(self, pages: List[int]) -> None:
+        """Hook for subclasses that track where prefilled pages sit."""
+        del pages
 
 
 class NapMemorySystem(MemorySystem):
@@ -328,6 +364,8 @@ class PowerDownMemorySystem(MemorySystem):
         self._accounted_until = np.zeros(banks, dtype=np.float64)
         chips_per_bank = spec.bank_bytes / spec.chip_bytes
         self._wake_energy = spec.peak_power_watts * chips_per_bank * 30e-6
+        #: A bank's static power before and after its timeout.
+        self._powers = (spec.bank_power("nap"), spec.bank_power("powerdown"))
 
     def _bank_of(self, page: int) -> int:
         return page % self._last_access.size
@@ -391,8 +429,8 @@ class PowerDownMemorySystem(MemorySystem):
         previous[first] = self._last_access[banks[first]]
         boundary = previous + self.timeout_s
         ledger = np.empty((banks.size, 2))
-        ledger[order] = self._static_terms(now, start, boundary)
-        self._fold_static(ledger)
+        ledger[order] = _static_terms(now, start, boundary, *self._powers)
+        _fold_static(self.energy, ledger)
         wakes = int(np.count_nonzero(now > boundary))
         if wakes:
             # Each wake adds the same charge, one ``+=`` at a time.
@@ -409,39 +447,12 @@ class PowerDownMemorySystem(MemorySystem):
             self._accounted_until[touched], now[final]
         )
 
-    def _static_terms(self, now, start, boundary):
-        """Each row's (nap, power-down) charge, as :meth:`_accrue_bank` adds.
-
-        Row ``i`` accrues from ``start[i]`` to ``now[i]`` with the bank
-        powering down at ``boundary[i]``.  :meth:`_accrue_bank` adds a
-        charge exactly when its duration is positive -- the nap stretch
-        ``min(now, boundary) - start`` and the power-down stretch
-        ``now - max(boundary, start)`` -- so clamping both durations at
-        0.0 gives its float64 values, and 0.0 where it adds nothing.
-        """
-        terms = np.empty((start.size, 2))
-        np.subtract(np.minimum(now, boundary), start, out=terms[:, 0])
-        np.subtract(now, np.maximum(boundary, start), out=terms[:, 1])
-        np.maximum(terms, 0.0, out=terms)
-        terms *= (self.spec.bank_power("nap"), self.spec.bank_power("powerdown"))
-        return terms
-
-    def _fold_static(self, ledger) -> None:
-        """Add the ledger's charges to ``static_j`` one by one, row-major.
-
-        ``np.add.accumulate`` adds sequentially, so the total rounds
-        exactly as the scalar ``+=`` chain does (``np.sum`` sums pairwise
-        and would not); the ledger's 0.0 entries add nothing.
-        """
-        flat = ledger.ravel()
-        flat[0] += self.energy.static_j
-        self.energy.static_j = float(np.add.accumulate(flat, out=flat)[-1])
-
     def finalize(self, now: float) -> None:
         self._advance_clock(now)
         start = self._accounted_until
-        self._fold_static(
-            self._static_terms(now, start, self._last_access + self.timeout_s)
+        boundary = self._last_access + self.timeout_s
+        _fold_static(
+            self.energy, _static_terms(now, start, boundary, *self._powers)
         )
         np.maximum(start, now, out=start)
 
@@ -467,7 +478,18 @@ class DisableMemorySystem(MemorySystem):
 
     Pages are placed in banks on load (filling the most recently used
     bank first) so invalidation drops exactly the pages the bank held.
+
+    Between two *disable events* -- an access or a placement that finds
+    its bank past the deadline, and a load into a full cache -- the cache
+    is a growing LRU (capacity changes only at the events, as in paging
+    with dynamic memory capacity), so :meth:`consume_hit_run` replays
+    each such stretch as one numpy batch.
     """
+
+    #: The first window :meth:`consume_hit_run` scans for an event; each
+    #: window without one doubles the next, up to :data:`_MAX_WINDOW`.
+    _FIRST_WINDOW = 1024
+    _MAX_WINDOW = 1 << 16
 
     def __init__(
         self,
@@ -491,10 +513,14 @@ class DisableMemorySystem(MemorySystem):
             raise SimulationError("disable timeout must be positive")
         self.timeout_s = timeout_s
         banks = max(self.enabled_banks, 1)
-        # Plain float lists: every use is one scalar index, where list
-        # access and float arithmetic beat numpy scalars (same IEEE math).
-        self._last_access = [0.0] * banks
-        self._accounted_until = [0.0] * banks
+        self._last_access = np.zeros(banks, dtype=np.float64)
+        self._accounted_until = np.zeros(banks, dtype=np.float64)
+        # The narrowest dtype holding a bank index: numpy's stable sort
+        # radix-sorts integers of 16 bits or fewer.
+        self._bank_dtype = np.min_scalar_type(banks - 1)
+        #: A bank's static power before and after its deadline: a
+        #: disabled bank draws nothing.
+        self._powers = (spec.bank_power("nap"), 0.0)
         self._bank_pages: List[Set[int]] = [set() for _ in range(banks)]
         self._page_bank: Dict[int, int] = {}
         self._fill_bank = 0
@@ -505,12 +531,12 @@ class DisableMemorySystem(MemorySystem):
     # --- bank bookkeeping -------------------------------------------------------
 
     def _disable_time(self, bank: int) -> float:
-        return self._last_access[bank] + self.timeout_s
+        return float(self._last_access[bank]) + self.timeout_s
 
     def _accrue_bank(self, bank: int, now: float) -> None:
         """Charge nap power from the last accounting point up to ``now``,
         stopping at the bank's (lazy) disable time."""
-        start = self._accounted_until[bank]
+        start = float(self._accounted_until[bank])
         end = min(now, self._disable_time(bank))
         if end > start:
             self.energy.add_static(self.spec.bank_power("nap"), end - start)
@@ -529,10 +555,30 @@ class DisableMemorySystem(MemorySystem):
             pages.clear()
         self.banks_disabled += 1
 
+    def _fill_slots(self, count: int) -> List[int]:
+        """The banks of the next ``count`` loads, none evicting.
+
+        Each load takes :meth:`_free_bank`: the fill bank until it is
+        full, then the first bank after it with room.  Without evictions
+        or invalidations no bank regains room, so the loads fill the
+        banks' free frames in that cyclic order.
+        """
+        banks = len(self._bank_pages)
+        per_bank = self.spec.pages_per_bank
+        slots: List[int] = []
+        for probe in range(banks):
+            bank = (self._fill_bank + probe) % banks
+            room = per_bank - len(self._bank_pages[bank])
+            if room > 0:
+                slots.extend([bank] * min(room, count - len(slots)))
+                if len(slots) == count:
+                    return slots
+        raise SimulationError("no bank has a free frame despite cache room")
+
     def _free_bank(self) -> int:
         """The bank the next loaded page goes to: the fill bank, or the
         first bank after it with room."""
-        banks = len(self._last_access)
+        banks = len(self._bank_pages)
         per_bank = self.spec.pages_per_bank
         for probe in range(banks):
             bank = (self._fill_bank + probe) % banks
@@ -540,11 +586,13 @@ class DisableMemorySystem(MemorySystem):
                 return bank
         raise SimulationError("no bank has a free frame despite cache room")
 
-    def _place_page(self, page: int, bank: int) -> None:
-        """Record the freshly loaded page in ``bank``."""
-        self._bank_pages[bank].add(page)
-        self._page_bank[page] = bank
-        self._fill_bank = bank
+    def _place_pages(self, pages: List[int], banks: List[int]) -> None:
+        """Record freshly loaded ``pages`` in ``banks``, in load order."""
+        self._page_bank.update(zip(pages, banks))
+        bank_pages = self._bank_pages
+        for page, bank in zip(pages, banks):
+            bank_pages[bank].add(page)
+        self._fill_bank = banks[-1]
 
     def _evict_bookkeeping(self, evicted: List[int]) -> None:
         for page in evicted:
@@ -552,8 +600,9 @@ class DisableMemorySystem(MemorySystem):
             if bank is not None:
                 self._bank_pages[bank].discard(page)
 
-    def _register_prefill(self, page: int) -> None:
-        self._place_page(page, self._free_bank())
+    def _register_prefill(self, pages: List[int]) -> None:
+        if pages:
+            self._place_pages(pages, self._fill_slots(len(pages)))
 
     # --- interface ------------------------------------------------------------------
 
@@ -581,66 +630,161 @@ class DisableMemorySystem(MemorySystem):
         self._load(now, page)
         return False
 
-    def consume_hit_run(self, times, pages, lo: int, hi: int) -> int:
-        """Consume the longest pure-hit prefix of ``[lo, hi)``; return its end.
+    def consume_hit_run(self, times, pages, lo: int, hi: int):
+        """Replay ``[lo, hi)`` up to its first disable event.
 
-        A *pure hit* touches a resident page whose bank has not passed
-        its lazy disable deadline: :meth:`access` would charge dynamic
-        energy, accrue the bank's nap power up to ``now``, refresh the
-        bank's idle clock and the page's recency, and return True --
-        nothing else.  This scans accesses in order, performing exactly
-        those operations (the accrual inlined with the identical
-        floating-point sequence), and stops at the first access that
-        would miss, invalidate a disabled bank, or resurrect one; the
-        caller replays that access through the live :meth:`access`.
+        Returns ``(stop, misses)``: the accesses ``[lo, stop)`` are
+        accounted exactly as :meth:`access` would have, and ``misses``
+        holds the indices of those that missed, in order.  ``stop`` is
+        ``hi`` or the index of the first access that :meth:`access` must
+        serve itself -- one that finds its bank past the disable
+        deadline (a touch of a disabled bank, or a load placed into one)
+        or a load into a full cache (an eviction).
 
-        The stack-distance profile cannot classify these runs -- bank
-        invalidations shrink the true reuse depths -- so the residency
-        oracle here is the live ``_page_bank`` map itself.
+        The accesses are scanned in windows that double in size, each
+        replayed as one batch by :meth:`_replay_batch`; the caller
+        replays the event access and calls again, which restarts at the
+        smallest window.  Bank invalidations shrink the true reuse
+        depths, so no stack-distance profile classifies these accesses:
+        the residency oracle is the live ``_page_bank`` map.
         """
-        pb_get = self._page_bank.get
-        last = self._last_access
-        acc = self._accounted_until
-        timeout = self.timeout_s
-        nap_power = self.spec.bank_power("nap")
-        energy = self.energy
-        static = energy.static_j
-        move = self.cache._pages.move_to_end
+        if self.cache.capacity_pages == 0:
+            # Nothing is ever cached: each access misses and charges
+            # only its dynamic energy.
+            self._advance_clock(float(times[hi - 1]))
+            self.energy.add_accesses(hi - lo, self.spec.dynamic_energy_per_access)
+            return hi, np.arange(lo, hi)
+        misses = []
+        window = self._FIRST_WINDOW
         pos = lo
-        stopped = False
-        # Convert to Python scalars in geometrically growing blocks: the
-        # run usually ends after a handful of hits (miss-heavy spans), so
-        # a whole-tail -- or even fixed-large-block -- tolist() per call
-        # pays for thousands of elements the loop never reads.  Doubling
-        # keeps the conversion within 4x of the consumed prefix while
-        # still amortizing long runs.
-        block = 32
-        while pos < hi and not stopped:
-            stop = min(pos + block, hi)
-            block = min(block * 2, 1 << 16)
-            for now, page in zip(
-                times[pos:stop].tolist(), pages[pos:stop].tolist()
-            ):
-                bank = pb_get(page)
-                if bank is None or now > last[bank] + timeout:
-                    stopped = True
-                    break
-                # _accrue_bank inlined: the disable deadline is >= now
-                # here, so the nap stretch ends at now.
-                start = acc[bank]
-                if now > start:
-                    static += nap_power * (now - start)
-                    acc[bank] = now
-                last[bank] = now
-                move(page)
-                pos += 1
-        energy.static_j = static
-        count = pos - lo
-        if count:
-            self.cache.last_evicted = None
-            self._advance_clock(float(times[pos - 1]))
-            energy.add_accesses(count, self.spec.dynamic_energy_per_access)
-        return pos
+        while pos < hi:
+            end = min(pos + window, hi)
+            window = min(window * 2, self._MAX_WINDOW)
+            stop, batch_misses = self._replay_batch(times, pages, pos, end)
+            misses.append(batch_misses)
+            pos = stop
+            if stop < end:
+                break
+        if len(misses) == 1:
+            return pos, misses[0]
+        return pos, np.concatenate(misses)
+
+    def _replay_batch(self, times, pages, lo: int, hi: int):
+        """Replay ``[lo, hi)`` up to its first event in one batch.
+
+        Residency only grows before the event, so an access misses
+        exactly when its page was not resident at ``lo`` and this is its
+        first use, and the misses take the fill-order frames of
+        :meth:`_fill_slots`.  That fixes every access's bank; one stable
+        argsort by bank then lines up each bank's accesses in time order,
+        so an access's bank gap is the distance to its group predecessor
+        (the group's first access takes the bank's carried-in last
+        access), and the first gap past the timeout is the event.  Every
+        access before it naps its bank from the bank's accounting mark,
+        as :meth:`_accrue_bank` charges a hit or a load: those charges
+        fold into ``static_j`` in time order.
+        """
+        n = hi - lo
+        window = pages[lo:hi]
+        # Distinct pages with their first and last uses, from one stable
+        # sort (radix on a narrow dtype): a page's uses run in time order.
+        by_page = window.astype(np.min_scalar_type(int(window.max()))).argsort(
+            kind="stable"
+        )
+        sorted_pages = window[by_page]
+        opens = np.empty(n, dtype=bool)
+        opens[0] = True
+        np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=opens[1:])
+        group_starts = np.flatnonzero(opens)
+        distinct = sorted_pages[group_starts]
+        first_use = by_page[group_starts]
+        bank_of = np.fromiter(
+            map(self._page_bank.get, distinct.tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=distinct.size,
+        )
+        loads = np.flatnonzero(bank_of < 0)
+        loads = loads[first_use[loads].argsort()]
+        cut = n
+        room = self.cache.capacity_pages - len(self.cache)
+        if loads.size > room:
+            cut = int(first_use[loads[room]])  # this load would evict
+            loads = loads[:room]
+        if loads.size:
+            bank_of[loads] = self._fill_slots(int(loads.size))
+        # Accesses at or past an eviction cut may be unplaced: unread.
+        group = np.cumsum(opens)
+        group -= 1
+        banks = np.empty(n, dtype=self._bank_dtype)
+        banks[by_page] = bank_of.astype(self._bank_dtype)[group]
+
+        order = banks[:cut].argsort(kind="stable")
+        grouped = banks[order]
+        now = times[lo : lo + cut]
+        grouped_now = now[order]
+        first = np.empty(cut, dtype=bool)
+        first[:1] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+        # Each access's predecessor in its bank gives its accrual start
+        # and its bank's disable deadline.
+        previous = np.empty(cut)
+        previous[1:] = grouped_now[:-1]
+        previous[first] = -np.inf
+        start = np.maximum(self._accounted_until[grouped], previous)
+        previous[first] = self._last_access[grouped[first]]
+        deadline = previous + self.timeout_s
+        late = np.flatnonzero(grouped_now > deadline)
+        reopened = 0
+        if late.size:
+            # A late first access to a bank that was empty at ``lo`` loads
+            # into it: the invalidation it triggers drops nothing, so it
+            # only counts the disable.  Any other late access is the event.
+            bank_pages = self._bank_pages
+            silent = first[late] & np.array(
+                [not bank_pages[bank] for bank in grouped[late].tolist()], dtype=bool
+            )
+            late = order[late]
+            if not silent.all():
+                cut = int(late[~silent].min())
+            reopened = int(np.count_nonzero(late[silent] < cut))
+        terms = _static_terms(grouped_now, start, deadline, *self._powers)
+        if cut < order.size:
+            keep = order < cut
+            order, grouped, first = order[keep], grouped[keep], first[keep]
+            grouped_now, terms = grouped_now[keep], terms[keep]
+            loads = loads[first_use[loads] < cut]
+        misses = first_use[loads] + lo  # loads run in first-use order
+        if cut == 0:
+            return lo, misses
+
+        self.banks_disabled += reopened
+        self._advance_clock(float(now[cut - 1]))
+        self.energy.add_accesses(cut, self.spec.dynamic_energy_per_access)
+        ledger = np.empty_like(terms)
+        ledger[order] = terms
+        _fold_static(self.energy, ledger)
+        final = np.empty(cut, dtype=bool)
+        final[:-1] = first[1:]
+        final[-1] = True
+        touched = grouped[final]
+        last_use = grouped_now[final]
+        self._last_access[touched] = last_use
+        self._accounted_until[touched] = np.maximum(
+            self._accounted_until[touched], last_use
+        )
+
+        loaded = distinct[loads].tolist()
+        if loaded:
+            self._place_pages(loaded, bank_of[loads].tolist())
+        # Each page's last use before the cut is the last of its group's
+        # entries below the cut (a group lists its uses in time order).
+        used = by_page < cut
+        last = used.copy()
+        last[:-1] &= opens[1:] | ~used[1:]
+        is_last = np.zeros(cut, dtype=bool)
+        is_last[by_page[last]] = True
+        self.cache.refresh_run(loaded, window[:cut][is_last].tolist())
+        return lo + cut, misses
 
     def _load(self, now: float, page: int) -> None:
         evicted = self.cache.load(page)
@@ -654,12 +798,16 @@ class DisableMemorySystem(MemorySystem):
             # The bank switched off while idle: the pages it held are
             # gone before this one moves in.
             self._invalidate_bank(bank)
-        self._place_page(page, bank)
+        self._place_pages([page], [bank])
         self._accrue_bank(bank, now)
         self._last_access[bank] = now
-        self._accounted_until[bank] = max(self._accounted_until[bank], now)
+        self._accounted_until[bank] = max(float(self._accounted_until[bank]), now)
 
     def finalize(self, now: float) -> None:
         self._advance_clock(now)
-        for bank in range(len(self._last_access)):
-            self._accrue_bank(bank, now)
+        start = self._accounted_until
+        boundary = self._last_access + self.timeout_s
+        _fold_static(
+            self.energy, _static_terms(now, start, boundary, *self._powers)
+        )
+        np.maximum(start, now, out=start)

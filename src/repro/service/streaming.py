@@ -263,12 +263,13 @@ class StreamingManager:
     def advance(self, now: float) -> List[PeriodDecision]:
         """Vouch that no access before ``now`` is still to come.
 
-        Moves the watermark without feeding data, letting period
-        boundaries in an idle stream fire (an online controller still
-        re-decides every period).  A boundary past the last access fires
-        only once ``now`` is strictly past it and no read-ahead cluster
-        is unresolved -- see the module docstring -- so a decision may
-        defer to the next ``feed`` or to ``close``.
+        Moves the watermark without feeding data.  A boundary past the
+        last access then fires only once ``now`` is strictly past it and
+        only while no read-ahead cluster is pending -- see the module
+        docstring.  A cluster stays pending from a miss until the next
+        one, so this fires idle boundaries only for a tenant that has
+        not missed yet: a tenant past its first miss gets its next
+        decision at its next ``feed`` or at ``close``, not every period.
         """
         self._require_open()
         now = float(now)

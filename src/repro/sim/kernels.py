@@ -32,7 +32,7 @@ Five fast modes exist (:func:`select_mode`):
   ``_serve_miss``, or, when the disk policy is request-blind (it
   overrides neither ``on_request`` nor ``on_idle_start``; a joint
   manager moves the timeout only at boundaries) and the drive is
-  batchable, as runs through :func:`_serve_miss_run`
+  batchable, all at once through :func:`_serve_miss_run`
   (:meth:`SimDisk.submit_run`, :meth:`MetricsCollector.on_miss_run`,
   :meth:`ReadaheadClusterer.add_run`).  Fixed-capacity runs that batch
   report ``"missrun"``, the others ``"vectorized"``.
@@ -42,11 +42,14 @@ Five fast modes exist (:func:`select_mode`):
   and the depths stay valid; hit runs keep the live cache and dirty set
   in sync through :meth:`MemorySystem.consume_hit_run_rw`, split at the
   periodic flush sweeps, and every miss runs the scalar loop.
-* ``"disable"`` -- the disable-state (2TDS) model on read-only runs
+* ``"disable"`` -- the disable-state (DS) model on read-only runs
   (:func:`_disable_span`).  Bank invalidations make stack depths
   unusable, so this mode needs none: the live ``_page_bank`` map is the
-  residency oracle, :meth:`DisableMemorySystem.consume_hit_run`
-  consumes maximal pure-hit prefixes, and every other access runs the
+  residency oracle.  Between two disable events (a touch of, or a load
+  into, a bank past its deadline; a load into a full cache) the cache
+  only grows, so :meth:`DisableMemorySystem.consume_hit_run` replays
+  everything before the next event in numpy batches; misses are served
+  as in the profiled modes, and only the access at the event runs the
   scalar ``access``.
 
 Fallback conditions (any one routes the run through the scalar loop):
@@ -221,12 +224,21 @@ def _profiled_span(engine, st, lo: int, hi: int) -> None:
     )
     memory.charge_hit_run(times, pages, lo, hi)
     st.metrics.on_hits(hi - lo - misses.size)
+    _serve_misses(engine, st, misses)
+
+
+def _serve_misses(engine, st, misses: np.ndarray) -> None:
+    """Serve the accesses at the ascending indices ``misses`` in order:
+    in one :func:`_serve_miss_run` when the run batches misses, else one
+    ``_serve_miss`` each."""
     if st.batch_misses:
-        for run_lo, run_hi in _miss_runs(misses):
-            _serve_miss_run(engine, st, run_lo, run_hi)
+        if misses.size:
+            _serve_miss_run(engine, st, misses)
     else:
         serve_miss = engine._serve_miss
-        for now, page in zip(times[misses].tolist(), pages[misses].tolist()):
+        for now, page in zip(
+            st.times[misses].tolist(), st.pages[misses].tolist()
+        ):
             serve_miss(st, now, page)
 
 
@@ -241,26 +253,28 @@ def _miss_runs(miss_indices: np.ndarray):
         yield lo, hi + 1
 
 
-def _serve_miss_run(engine, st, lo: int, hi: int) -> None:
-    """Serve the all-miss stretch ``[lo, hi)`` of one span batched.
+def _serve_miss_run(engine, st, misses: np.ndarray) -> None:
+    """Serve the misses at the ascending indices ``misses`` batched.
 
-    Exactly what ``hi - lo`` iterations of ``_serve_miss`` would do.
-    The scalar loop interleaves three objects per miss -- the drive,
-    metrics, the clusterer -- but their accumulators are disjoint, so
-    advancing each object over the whole stretch in its own pass
-    preserves every object's internal floating-point operation order
-    bit-exactly.  The per-miss policy hooks are skipped entirely:
-    eligibility guarantees they are the base-class no-ops.
+    Exactly what one ``_serve_miss`` per index would do.  The scalar
+    loop interleaves three objects per miss -- the drive, metrics, the
+    clusterer -- and none of them sees the hits between the misses
+    (a hit only counts, :meth:`MetricsCollector.on_hits`).  Their
+    accumulators are disjoint, so advancing each object over all the
+    misses in its own pass preserves every object's internal
+    floating-point operation order bit-exactly.  The per-miss policy
+    hooks are skipped entirely: eligibility guarantees they are the
+    base-class no-ops.
     """
     # Deferred: engine.py imports this module at its own top level.
     from repro.sim.engine import SEQUENTIAL_MERGE_WINDOW_S
 
-    run_times = st.times[lo:hi]
-    run_pages = st.pages[lo:hi]
-    n = hi - lo
+    run_times = st.times[misses]
+    run_pages = st.pages[misses]
+    n = misses.size
     # The scalar flag: next page in sequence, within the merge window.
     # Element 0 continues the previous miss (possibly many hit runs and
-    # boundaries ago); the rest compare against their left neighbour.
+    # boundaries ago); the rest compare against the miss before them.
     seq = np.empty(n, dtype=bool)
     seq[0] = (
         int(run_pages[0]) == st.last_miss_page + 1
@@ -346,32 +360,31 @@ def _consume_hits(engine, st, lo: int, hi: int) -> None:
 
 
 def _disable_span(engine, st, lo: int, hi: int) -> None:
-    """Replay the read-only span ``[lo, hi)`` of one 2TDS epoch.
+    """Replay the read-only span ``[lo, hi)`` of one disable-model epoch.
 
-    :meth:`DisableMemorySystem.consume_hit_run` consumes each maximal
-    pure-hit prefix against the live bank map; the access it stops at
-    (a miss, an invalidation or a resurrection) replays through the
-    scalar ``access``.
+    :meth:`DisableMemorySystem.consume_hit_run` accounts the memory half
+    of everything before the next disable event in batches; the batch's
+    hits fold into one metrics addition and its misses are served as in
+    :func:`_profiled_span`.  Only the access at the event replays
+    through the scalar ``access``.
     """
     memory = engine.memory
     times = st.times
     pages = st.pages
-    serve_miss = engine._serve_miss
     pos = lo
     while pos < hi:
-        stop = memory.consume_hit_run(times, pages, pos, hi)
-        if stop > pos:
-            st.metrics.on_hits(stop - pos)
-            pos = stop
-            if pos >= hi:
-                break
-        now = float(times[pos])
-        page = int(pages[pos])
+        stop, misses = memory.consume_hit_run(times, pages, pos, hi)
+        st.metrics.on_hits(stop - pos - misses.size)
+        _serve_misses(engine, st, misses)
+        if stop >= hi:
+            break
+        now = float(times[stop])
+        page = int(pages[stop])
         if memory.access(now, page):
             st.metrics.on_hit(now)
         else:
-            serve_miss(st, now, page)
-        pos += 1
+            engine._serve_miss(st, now, page)
+        pos = stop + 1
 
 
 def _epoch_misses(

@@ -58,6 +58,7 @@ from repro.memory.system import (
     NapMemorySystem,
     PowerDownMemorySystem,
 )
+from repro.policies.adaptive_timeout import AdaptiveTimeoutPolicy
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.service.streaming import StreamingManager
@@ -784,10 +785,17 @@ def _epoch_scenario(case, machine, rng) -> _Scenario:
 
 
 def _disable_scenario(case, machine, rng) -> _Scenario:
-    """The 2TDS model over the stretched stream (its fast mode ignores
+    """The disable model over the stretched stream (its fast mode ignores
     the profile): bank timeouts short against its gaps exercise lazy
-    disables, invalidation misses and bank resurrections."""
-    trace = _stretched_trace(case, machine)
+    disables, invalidation misses, loads into disabled banks and bank
+    resurrections.  Half the seeds run the 2T policy, whose misses batch,
+    and half the request-aware adaptive policy (AD), whose misses each
+    run the per-miss policy hooks.  Warm-ups of whole periods move the
+    banks' accounting marks past their last accesses, and half the seeds
+    snap to a 0.25-s grid so same-bank accesses tie exactly on a disable
+    deadline."""
+    period = machine.manager.period_s
+    times = _stretched(case.times, period)
     spec = machine.memory
     capacity = _draw_bank_capacity(rng, spec)
     bank_timeout = float(
@@ -798,25 +806,35 @@ def _disable_scenario(case, machine, rng) -> _Scenario:
     )
     disk_timeout = float(rng.choice([0.0, 1.0, 30.0, math.inf]))
     warm = bool(rng.integers(0, 2))
+    adaptive = bool(rng.integers(0, 2))
+    if rng.integers(0, 2):
+        times = np.floor(times * 4.0) / 4.0
+    trace = Trace(times=times, pages=case.pages, page_size=machine.page_bytes)
+    periods = max(int(np.ceil(trace.duration_s / period)), 1)
+    warmup = period * int(rng.integers(0, periods))
 
     def build(prefill):
         memory = DisableMemorySystem(spec, capacity, timeout_s=bank_timeout)
         if prefill:
             memory.prefill(prefill)
+        policy = (
+            AdaptiveTimeoutPolicy()
+            if adaptive
+            else FixedTimeoutPolicy(disk_timeout)
+        )
         return SimulationEngine(
-            machine,
-            memory,
-            disk_policy=FixedTimeoutPolicy(disk_timeout),
-            label="verify-parity",
+            machine, memory, disk_policy=policy, label="verify-parity"
         )
 
     return _offline(
         kernels.MODE_DISABLE,
-        f"(bank timeout {bank_timeout}s, capacity {capacity} B, disk "
-        f"timeout {disk_timeout}, warm={warm})",
+        f"(bank timeout {bank_timeout}s, capacity {capacity} B, policy "
+        f"{'AD' if adaptive else f'2T, timeout {disk_timeout}'}, warm={warm}, "
+        f"warm-up {warmup}s)",
         build,
         trace,
         warm,
+        warmup,
     )
 
 
@@ -845,10 +863,18 @@ def _stream_scenario(case, machine, rng) -> _Scenario:
     that hold a period boundary first advance exactly onto it -- one
     access often snapped onto an exact period boundary, and closed at
     the offline duration; the reference is ``run_method`` on the same
-    sequence."""
+    sequence.  A quarter of the seeds squeeze every access but the last
+    into the first period and put the last on the closing boundary two
+    periods in, so a boundary fires while the stream is idle."""
     period = machine.manager.period_s
     times = _stretched(case.times, period)
-    if times.size >= 2 and rng.random() < 0.7:
+    if times.size >= 2 and rng.random() < 0.25:
+        # The default close drops the access on the closing boundary, so
+        # the boundary at one period is trailing and fires idle, with the
+        # read-ahead cluster of the stream's first misses still open.
+        times = times * (0.5 * period / max(float(times[-1]), 1e-3))
+        times[-1] = 2 * period
+    elif times.size >= 2 and rng.random() < 0.7:
         # Snap one access onto an exact boundary: the off-by-one epoch
         # edge (side='left' vs 'right') only shows up on exact ties.
         k = int(rng.integers(0, times.size))

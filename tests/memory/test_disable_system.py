@@ -154,45 +154,55 @@ class TestLazyDisablePaths:
         assert system.dirty_pages <= 1  # only the re-read copy could be dirty
 
 
-def replay_schedule(system, times, pages, segments, batched: bool) -> None:
+def replay_schedule(system, times, pages, segments, batched: bool):
     """Drive ``system`` through a schedule, as the disable kernel does.
 
-    A batch consumes its pure-hit prefix with ``consume_hit_run`` and
-    serves the access that stopped it through ``access``; the reference
-    (``batched=False``) serves every access through ``access``.
+    A batch consumes everything before its next disable event with
+    ``consume_hit_run`` and serves the event access through ``access``;
+    the reference (``batched=False``) serves every access through
+    ``access``.  Returns the indices of the accesses that missed.
     """
+    misses = []
     for lo, hi, kind, mark in segments:
         if mark is not None:
             system.checkpoint(checkpoint_time(times, lo, mark))
         pos = lo
         while pos < hi:
             if batched and kind == "batch":
-                pos = system.consume_hit_run(times, pages, pos, hi)
+                pos, batch_misses = system.consume_hit_run(times, pages, pos, hi)
+                misses.extend(batch_misses.tolist())
                 if pos == hi:
                     break
-            system.access(float(times[pos]), int(pages[pos]))
+            if not system.access(float(times[pos]), int(pages[pos])):
+                misses.append(pos)
             pos += 1
+    return misses
 
 
 def assert_same_state(a, b) -> None:
     assert_same_energy(a, b)
-    assert a._last_access == b._last_access
-    assert a._accounted_until == b._accounted_until
+    assert a._last_access.tolist() == b._last_access.tolist()
+    assert a._accounted_until.tolist() == b._accounted_until.tolist()
     assert list(a.cache._pages) == list(b.cache._pages)
     assert a._page_bank == b._page_bank
+    assert a._bank_pages == b._bank_pages
+    assert a._fill_bank == b._fill_bank
     assert a.invalidation_misses == b.invalidation_misses
     assert a.banks_disabled == b.banks_disabled
 
 
 class TestBatchedHits:
-    """``consume_hit_run`` on float-list bank state matches ``access``."""
+    """``consume_hit_run``'s batches between disable events match
+    ``access``: the same misses, bank state, LRU order and energy."""
 
     @given(
         schedule=schedules(),
         timeout=st.sampled_from([0.25, 1.0, 5.0, None]),
+        window=st.sampled_from([1, 2, 5, 1024]),
+        prefill=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
     )
     @settings(deadline=None)
-    def test_any_split_matches_access_loop(self, schedule, timeout):
+    def test_any_split_matches_access_loop(self, schedule, timeout, window, prefill):
         times, pages, segments = schedule
         spec = MemorySpec(
             installed_bytes=32 * KB,
@@ -202,8 +212,16 @@ class TestBatchedHits:
         )
         batched = DisableMemorySystem(spec, timeout_s=timeout)
         reference = DisableMemorySystem(spec, timeout_s=timeout)
-        replay_schedule(batched, times, pages, segments, batched=True)
-        replay_schedule(reference, times, pages, segments, batched=False)
+        # Small first windows make one call scan several doubling windows.
+        batched._FIRST_WINDOW = window
+        batched.prefill(prefill)
+        for page in prefill:  # one page at a time, each to _free_bank
+            if not reference.cache.peek(page):
+                reference.cache.load(page)
+                reference._place_pages([page], [reference._free_bank()])
+        fast = replay_schedule(batched, times, pages, segments, batched=True)
+        slow = replay_schedule(reference, times, pages, segments, batched=False)
+        assert fast == slow
         assert_same_state(batched, reference)
         end = float(times[-1]) + 1.75
         batched.finalize(end)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import inspect
 import textwrap
 
+import repro.memory.system as system_module
 import repro.sim.engine as engine_module
 import repro.sim.kernels as kernels
+from repro.memory.system import DisableMemorySystem
 from repro.sim.engine import SimulationEngine
 from repro.verify.differential import CHECKS
 from repro.verify.strategies import random_case
@@ -91,15 +93,16 @@ def test_catches_skipped_resident_reclamp(monkeypatch):
 
 
 def test_catches_extra_disable_hit(monkeypatch):
-    """The 2TDS span counts the access a pure-hit prefix stopped at."""
+    """A disable-model batch that ends one access past its event, so it
+    replays the access that finds its bank disabled as a hit."""
     monkeypatch.setattr(
-        kernels,
-        "_disable_span",
+        DisableMemorySystem,
+        "_replay_batch",
         _mutant(
-            kernels._disable_span,
-            kernels,
-            "stop = memory.consume_hit_run(times, pages, pos, hi)",
-            "stop = min(memory.consume_hit_run(times, pages, pos, hi) + 1, hi)",
+            DisableMemorySystem._replay_batch,
+            system_module,
+            "cut = int(late[~silent].min())",
+            "cut = int(late[~silent].min()) + 1",
         ),
     )
     seed, diff = _first_divergence()

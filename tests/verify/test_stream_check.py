@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import textwrap
+
 import pytest
 
 import repro.service.streaming as streaming
@@ -47,6 +50,30 @@ def test_catches_dropped_partial_batch(monkeypatch):
     monkeypatch.setattr(StreamingManager, "_replay_tail", lambda self: None)
     seed, diff = _first_divergence()
     assert diff is not None, "dropped partial batch escaped the parity check"
+
+
+def test_catches_idle_fire_before_replay(monkeypatch):
+    """The idle fire rule checking the clusterer before replaying the
+    epoch, so the epoch's own open cluster cannot hold a trailing
+    boundary back (the scenario's idle-period leg reaches it)."""
+    source = textwrap.dedent(inspect.getsource(StreamingManager._pump))
+    old = (
+        "self._replay(cut)\n"
+        "        if not witnessed and st.clusterer._pending is not None:\n"
+        "            break\n"
+    )
+    new = (
+        "if not witnessed and st.clusterer._pending is not None:\n"
+        "            break\n"
+        "        self._replay(cut)\n"
+    )
+    assert source.count(old) == 1
+    namespace = dict(vars(streaming))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    monkeypatch.setattr(StreamingManager, "_pump", namespace["_pump"])
+    seed, diff = _first_divergence(max_seed=40)
+    assert diff is not None, "idle fire before replay escaped the parity check"
+    assert diff.startswith("stream:"), diff
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
