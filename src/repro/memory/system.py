@@ -558,10 +558,10 @@ class DisableMemorySystem(MemorySystem):
     def _fill_slots(self, count: int) -> List[int]:
         """The banks of the next ``count`` loads, none evicting.
 
-        Each load takes :meth:`_free_bank`: the fill bank until it is
-        full, then the first bank after it with room.  Without evictions
-        or invalidations no bank regains room, so the loads fill the
-        banks' free frames in that cyclic order.
+        Each load takes the fill bank until it is full, then the first
+        bank after it with room.  Without evictions or invalidations no
+        bank regains room, so the loads fill the banks' free frames in
+        that cyclic order.
         """
         banks = len(self._bank_pages)
         per_bank = self.spec.pages_per_bank
@@ -578,13 +578,7 @@ class DisableMemorySystem(MemorySystem):
     def _free_bank(self) -> int:
         """The bank the next loaded page goes to: the fill bank, or the
         first bank after it with room."""
-        banks = len(self._bank_pages)
-        per_bank = self.spec.pages_per_bank
-        for probe in range(banks):
-            bank = (self._fill_bank + probe) % banks
-            if len(self._bank_pages[bank]) < per_bank:
-                return bank
-        raise SimulationError("no bank has a free frame despite cache room")
+        return self._fill_slots(1)[0]
 
     def _place_pages(self, pages: List[int], banks: List[int]) -> None:
         """Record freshly loaded ``pages`` in ``banks``, in load order."""
@@ -665,8 +659,6 @@ class DisableMemorySystem(MemorySystem):
             pos = stop
             if stop < end:
                 break
-        if len(misses) == 1:
-            return pos, misses[0]
         return pos, np.concatenate(misses)
 
     def _replay_batch(self, times, pages, lo: int, hi: int):
