@@ -89,10 +89,7 @@ class LRUCache:
         if len(cached) + len(loads) > self._capacity:
             raise SimulationError("a refreshed run would overfill the cache")
         cached.update(dict.fromkeys(loads))
-        move = cached.move_to_end
-        for page in recency:
-            move(page)
-        self.last_evicted = None
+        self.touch_run(recency)
 
     def peek(self, page: int) -> bool:
         """True if resident, without updating recency."""
