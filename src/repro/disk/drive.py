@@ -225,6 +225,21 @@ class SimDisk:
 
         Returns ``(latencies, wake_delays)`` as equal-length lists.
         """
+        return self._serve_run(times, services, False)
+
+    def submit_until_wake(self, times, services):
+        """:meth:`submit_run` up to the first request that would wake the
+        disk, which it leaves unserved.
+
+        The drive still advances to that request's arrival, spinning down
+        if the timeout expired before it, so a :meth:`submit` of it next
+        is exactly the call the per-request loop makes.  Returns the
+        served prefix's ``(latencies, wake_delays)``: their length is the
+        number of requests served.
+        """
+        return self._serve_run(times, services, True)
+
+    def _serve_run(self, times, services, stop_at_wake: bool):
         n = len(times)
         if n == 0:
             return [], []
@@ -286,6 +301,10 @@ class SimDisk:
                         events.record_spin_down(candidate)
             # submit(now, 1): wake or idle path, then service.
             if spun_down:
+                if stop_at_wake:
+                    n = i
+                    del latencies[n:], wake_delays[n:]
+                    break
                 woke = True
                 spin_done = spin_down_start + spin_down_time
                 wake_start = now if now >= spin_done else spin_done

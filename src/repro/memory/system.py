@@ -33,13 +33,6 @@ def _static_terms(now, start, boundary, nap_w: float, idle_w: float):
     stretch ``now - max(boundary, start)`` -- so clamping both durations
     at 0.0 gives their float64 values, and 0.0 where they add nothing.
     """
-    if not idle_w:
-        # Nothing to charge past the boundary: the nap column alone.
-        terms = np.minimum(now, boundary)
-        terms -= start
-        np.maximum(terms, 0.0, out=terms)
-        terms *= nap_w
-        return terms
     terms = np.empty((start.size, 2))
     np.subtract(np.minimum(now, boundary), start, out=terms[:, 0])
     np.subtract(now, np.maximum(boundary, start), out=terms[:, 1])
@@ -642,12 +635,6 @@ class DisableMemorySystem(MemorySystem):
         depths, so no stack-distance profile classifies these accesses:
         the residency oracle is the live ``_page_bank`` map.
         """
-        if self.cache.capacity_pages == 0:
-            # Nothing is ever cached: each access misses and charges
-            # only its dynamic energy.
-            self._advance_clock(float(times[hi - 1]))
-            self.energy.add_accesses(hi - lo, self.spec.dynamic_energy_per_access)
-            return hi, np.arange(lo, hi)
         misses = []
         window = self._FIRST_WINDOW
         pos = lo

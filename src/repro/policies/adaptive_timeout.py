@@ -20,6 +20,8 @@ class AdaptiveTimeoutPolicy(DiskPolicy):
     """Adaptive timeout driven by the spin-up-delay/idle-time ratio."""
 
     name = "AD"
+    # A request that finds the disk spinning is no evidence either way.
+    wake_driven = True
 
     def __init__(
         self,

@@ -21,6 +21,12 @@ class DiskPolicy:
 
     #: Short identifier used in method names ("2T", "AD", ...).
     name: str = "base"
+    #: True when :meth:`on_request` returns ``NO_CHANGE`` and changes no
+    #: state for every request that did not wake the disk, so the engine
+    #: may batch the requests between wakes.  Read on the class that
+    #: defines ``on_request``: a subclass that overrides it must declare
+    #: the flag again.
+    wake_driven: bool = False
 
     def initial_timeout(self) -> Optional[float]:
         """Timeout installed at simulation start (None = never spin down)."""

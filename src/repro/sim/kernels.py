@@ -32,7 +32,7 @@ Five fast modes exist (:func:`select_mode`):
   ``_serve_miss``, or, when the disk policy is request-blind (it
   overrides neither ``on_request`` nor ``on_idle_start``; a joint
   manager moves the timeout only at boundaries) and the drive is
-  batchable, all at once through :func:`_serve_miss_run`
+  batchable, as runs through :func:`_serve_miss_run`
   (:meth:`SimDisk.submit_run`, :meth:`MetricsCollector.on_miss_run`,
   :meth:`ReadaheadClusterer.add_run`).  Fixed-capacity runs that batch
   report ``"missrun"``, the others ``"vectorized"``.
@@ -48,9 +48,11 @@ Five fast modes exist (:func:`select_mode`):
   residency oracle.  Between two disable events (a touch of, or a load
   into, a bank past its deadline; a load into a full cache) the cache
   only grows, so :meth:`DisableMemorySystem.consume_hit_run` replays
-  everything before the next event in numpy batches; misses are served
-  as in the profiled modes, and only the access at the event runs the
-  scalar ``access``.
+  everything before the next event in numpy batches.  A batch's misses
+  go through one :func:`_serve_miss_run` under a request-blind policy,
+  through runs that end at each disk wake under a wake-driven one
+  (AD, :attr:`DiskPolicy.wake_driven`), and one ``_serve_miss`` each
+  otherwise; only the access at the event runs the scalar ``access``.
 
 Fallback conditions (any one routes the run through the scalar loop):
 
@@ -67,7 +69,8 @@ Fallback conditions (any one routes the run through the scalar loop):
 
 Misses are served one at a time rather than batched when the disk
 policy overrides ``on_request`` or ``on_idle_start`` (it may change the
-timeout mid-span), when the drive prices requests from geometry (a
+timeout mid-span; the disable mode still batches a wake-driven policy's
+misses between wakes), when the drive prices requests from geometry (a
 positioned service model), or when the drive instance carries a
 ``submit``/``submit_run`` override (e.g. the runner's miss-time
 recorder), which the batch path would bypass.
@@ -115,6 +118,23 @@ def _policy_is_request_blind(policy) -> bool:
     cls = type(policy)
     return (
         cls.on_request is DiskPolicy.on_request
+        and cls.on_idle_start is DiskPolicy.on_idle_start
+    )
+
+
+def _policy_is_wake_driven(policy) -> bool:
+    """True when ``policy`` reacts only to requests that wake the disk.
+
+    Its ``on_request`` declares :attr:`DiskPolicy.wake_driven` on the
+    class that defines it, and it does not override ``on_idle_start``:
+    the misses between two wakes then need no policy round trip.
+    """
+    if policy is None:
+        return False
+    cls = type(policy)
+    owner = next(k for k in cls.__mro__ if "on_request" in vars(k))
+    return (
+        vars(owner).get("wake_driven", False)
         and cls.on_idle_start is DiskPolicy.on_idle_start
     )
 
@@ -224,22 +244,40 @@ def _profiled_span(engine, st, lo: int, hi: int) -> None:
     )
     memory.charge_hit_run(times, pages, lo, hi)
     st.metrics.on_hits(hi - lo - misses.size)
-    _serve_misses(engine, st, misses)
+    if st.batch_misses:
+        # One batch per run of consecutive misses.  One batch for all of
+        # them is as exact (the disable kernel serves its misses so), but
+        # it would widen the stream-vs-offline gap (ROADMAP item 3).
+        for run_lo, run_hi in _miss_runs(misses):
+            _serve_miss_run(engine, st, slice(run_lo, run_hi))
+    else:
+        _serve_misses(engine, st, misses)
 
 
-def _serve_misses(engine, st, misses: np.ndarray) -> None:
-    """Serve the accesses at the ascending indices ``misses`` in order:
-    in one :func:`_serve_miss_run` when the run batches misses, else one
-    ``_serve_miss`` each."""
+def _serve_misses(engine, st, misses: np.ndarray, until_wake: bool = False) -> None:
+    """Serve the accesses at the ascending indices ``misses`` in order.
+
+    In one :func:`_serve_miss_run` when the run batches misses.  Under a
+    wake-driven policy (``until_wake``), in batches up to each miss that
+    wakes the disk; that miss alone runs ``_serve_miss`` and its policy
+    hooks.  Otherwise one ``_serve_miss`` each.
+    """
     if st.batch_misses:
         if misses.size:
             _serve_miss_run(engine, st, misses)
-    else:
-        serve_miss = engine._serve_miss
-        for now, page in zip(
-            st.times[misses].tolist(), st.pages[misses].tolist()
-        ):
-            serve_miss(st, now, page)
+        return
+    serve_miss = engine._serve_miss
+    if until_wake:
+        pos = 0
+        while pos < misses.size:
+            pos += _serve_miss_run(engine, st, misses[pos:], until_wake=True)
+            if pos < misses.size:
+                at = int(misses[pos])
+                serve_miss(st, float(st.times[at]), int(st.pages[at]))
+                pos += 1
+        return
+    for now, page in zip(st.times[misses].tolist(), st.pages[misses].tolist()):
+        serve_miss(st, now, page)
 
 
 def _miss_runs(miss_indices: np.ndarray):
@@ -253,10 +291,13 @@ def _miss_runs(miss_indices: np.ndarray):
         yield lo, hi + 1
 
 
-def _serve_miss_run(engine, st, misses: np.ndarray) -> None:
-    """Serve the misses at the ascending indices ``misses`` batched.
+def _serve_miss_run(engine, st, misses, until_wake: bool = False) -> int:
+    """Serve the misses at ``misses`` batched: a slice of the replay, or
+    an array of ascending indices into it.  With ``until_wake``, serve
+    only those before the first that would wake the disk
+    (:meth:`SimDisk.submit_until_wake`).  Returns the number served.
 
-    Exactly what one ``_serve_miss`` per index would do.  The scalar
+    Exactly what one ``_serve_miss`` per access would do.  The scalar
     loop interleaves three objects per miss -- the drive, metrics, the
     clusterer -- and none of them sees the hits between the misses
     (a hit only counts, :meth:`MetricsCollector.on_hits`).  Their
@@ -271,7 +312,7 @@ def _serve_miss_run(engine, st, misses: np.ndarray) -> None:
 
     run_times = st.times[misses]
     run_pages = st.pages[misses]
-    n = misses.size
+    n = run_times.size
     # The scalar flag: next page in sequence, within the merge window.
     # Element 0 continues the previous miss (possibly many hit runs and
     # boundaries ago); the rest compare against the miss before them.
@@ -289,13 +330,24 @@ def _serve_miss_run(engine, st, misses: np.ndarray) -> None:
     services = _miss_run_services(engine.disk.service, seq)
     times_list = run_times.tolist()
 
-    latencies, wake_delays = engine.disk.submit_run(times_list, services)
+    if until_wake:
+        latencies, wake_delays = engine.disk.submit_until_wake(
+            times_list, services
+        )
+        n = len(latencies)
+        if n == 0:
+            return 0
+        del times_list[n:]
+        run_pages = run_pages[:n]
+    else:
+        latencies, wake_delays = engine.disk.submit_run(times_list, services)
     st.metrics.on_miss_run(times_list, latencies, wake_delays)
     completed = st.clusterer.add_run(times_list, run_pages.tolist())
     if completed:
         st.metrics.on_requests(completed)
     st.last_miss_page = int(run_pages[n - 1])
     st.last_miss_time = times_list[n - 1]
+    return n
 
 
 def _miss_run_services(service, seq: np.ndarray):
@@ -364,18 +416,23 @@ def _disable_span(engine, st, lo: int, hi: int) -> None:
 
     :meth:`DisableMemorySystem.consume_hit_run` accounts the memory half
     of everything before the next disable event in batches; the batch's
-    hits fold into one metrics addition and its misses are served as in
-    :func:`_profiled_span`.  Only the access at the event replays
+    hits fold into one metrics addition and its misses are served by
+    :func:`_serve_misses`.  Only the access at the event replays
     through the scalar ``access``.
     """
     memory = engine.memory
     times = st.times
     pages = st.pages
+    until_wake = (
+        not st.batch_misses
+        and _policy_is_wake_driven(engine.policy)
+        and _batchable_disk(engine.disk)
+    )
     pos = lo
     while pos < hi:
         stop, misses = memory.consume_hit_run(times, pages, pos, hi)
         st.metrics.on_hits(stop - pos - misses.size)
-        _serve_misses(engine, st, misses)
+        _serve_misses(engine, st, misses, until_wake)
         if stop >= hi:
             break
         now = float(times[stop])

@@ -863,23 +863,26 @@ def _stream_scenario(case, machine, rng) -> _Scenario:
     that hold a period boundary first advance exactly onto it -- one
     access often snapped onto an exact period boundary, and closed at
     the offline duration; the reference is ``run_method`` on the same
-    sequence.  A quarter of the seeds squeeze every access but the last
-    into the first period and put the last on the closing boundary two
-    periods in, so a boundary fires while the stream is idle."""
+    sequence.  Half the seeds that snap no access (those whose leg draw
+    lands in the top 15 %, so every other seed draws as before) squeeze
+    every access but the last into the first period and put the last on
+    the closing boundary two periods in, so a boundary fires while the
+    stream is idle."""
     period = machine.manager.period_s
     times = _stretched(case.times, period)
-    if times.size >= 2 and rng.random() < 0.25:
-        # The default close drops the access on the closing boundary, so
-        # the boundary at one period is trailing and fires idle, with the
-        # read-ahead cluster of the stream's first misses still open.
-        times = times * (0.5 * period / max(float(times[-1]), 1e-3))
-        times[-1] = 2 * period
-    elif times.size >= 2 and rng.random() < 0.7:
+    leg = rng.random() if times.size >= 2 else 0.7
+    if leg < 0.7:
         # Snap one access onto an exact boundary: the off-by-one epoch
         # edge (side='left' vs 'right') only shows up on exact ties.
         k = int(rng.integers(0, times.size))
         times[k] = period * max(int(round(times[k] / period)), 1)
         times = np.sort(times)
+    elif leg >= 0.85:
+        # The default close drops the access on the closing boundary, so
+        # the boundary at one period is trailing and fires idle, with the
+        # read-ahead cluster of the stream's first misses still open.
+        times = times * (0.5 * period / max(float(times[-1]), 1e-3))
+        times[-1] = 2 * period
     methods = list(_STREAM_METHODS)
     method = methods[int(rng.integers(0, len(methods)))]
     writes = None

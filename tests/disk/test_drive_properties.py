@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config.disk_spec import DiskSpec
 from repro.disk.drive import SimDisk
+from repro.disk.events import DiskEventLog
 from repro.disk.service import ServiceModel
 from repro.units import KB
 
@@ -113,3 +114,49 @@ def test_always_on_never_spins_down(gaps):
     disk.finalize(now + 1000.0)
     assert disk.energy.spin_down_cycles == 0
     assert disk.energy.standby_s == 0.0
+
+
+def _drive_state(disk):
+    return (
+        disk._now,
+        disk._busy_until,
+        disk._spun_down,
+        disk._spin_down_start,
+        disk._pending_wake,
+        vars(disk.energy).copy(),
+        list(disk.events),
+    )
+
+
+@given(gaps=arrival_gaps, timeout=timeouts, spun_down=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_submit_until_wake_matches_submit_loop(gaps, timeout, spun_down):
+    # Served requests match one submit each, bit for bit; the first
+    # request that would wake the disk is left for a submit of its own,
+    # after which the two drives agree again.
+    spec = DiskSpec()
+    batched, reference = (
+        SimDisk(spec, ServiceModel(spec, page_bytes=4 * KB), events=DiskEventLog())
+        for _ in range(2)
+    )
+    for disk in (batched, reference):
+        disk.set_timeout(0.0, timeout)
+        if spun_down:
+            disk.set_timeout(0.0, 0.0)
+            disk.advance(1.0)
+            disk.set_timeout(1.0, timeout)
+    times, now = [], 1.0
+    for gap in gaps:
+        now += gap
+        times.append(now)
+    services = [batched.service.service_time(1)] * len(times)
+    latencies, wake_delays = batched.submit_until_wake(times, services)
+    served = len(latencies)
+    for now, latency, wake_delay in zip(times, latencies, wake_delays):
+        result = reference.submit(now, 1)
+        assert (result.latency_s, result.wake_delay_s) == (latency, wake_delay)
+    if served < len(times):
+        woke = reference.submit(times[served], 1)
+        assert woke.wake_delay_s > 0.0
+        batched.submit(times[served], 1)
+    assert _drive_state(batched) == _drive_state(reference)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,28 @@ class TestBatchedAccrual:
         scalar_finalize(reference, end)
         assert_same_energy(batched, reference)
         assert_same_banks(batched, reference)
+
+    @pytest.mark.parametrize("run", [1, 2, 5])
+    def test_zero_powerdown_power_matches_access_loop(self, run):
+        # A spec may price power-down at 0 W: every access still charges
+        # its bank's nap stretch up to the timeout, and nothing past it.
+        spec = small_spec()
+        spec = replace(
+            spec, mode_power_watts={**spec.mode_power_watts, "powerdown": 0.0}
+        )
+        times = 3.0 * np.arange(1, run + 1, dtype=np.float64)
+        pages = np.arange(run, dtype=np.int64) % 2
+        batched = PowerDownMemorySystem(spec, timeout_s=1.0)
+        reference = PowerDownMemorySystem(spec, timeout_s=1.0)
+        batched.charge_hit_run(times, pages, 0, run)
+        for now, page in zip(times.tolist(), pages.tolist()):
+            reference.access(now, page)
+        assert reference.energy.static_j > 0.0
+        assert_same_energy(batched, reference)
+        assert_same_banks(batched, reference)
+        batched.finalize(20.0)
+        scalar_finalize(reference, 20.0)
+        assert_same_energy(batched, reference)
 
     def test_long_run_keeps_sequential_rounding(self):
         # 10^4 accesses onto a large carried static_j: a pairwise sum of

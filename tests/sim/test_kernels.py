@@ -22,6 +22,7 @@ import pytest
 from repro.cache.profile import build_profile, clear_memo
 from repro.config.machine import scaled_machine
 from repro.memory.system import NapMemorySystem
+from repro.policies.adaptive_timeout import AdaptiveTimeoutPolicy
 from repro.policies.fixed_timeout import FixedTimeoutPolicy
 from repro.sim import kernels
 from repro.sim.engine import SimulationEngine
@@ -360,6 +361,27 @@ class TestDisableIdentity:
             slow = run_method("2TDS", clipped, machine, profile="auto", **kwargs)
             _assert_identical(fast, slow, mode=kernels.MODE_DISABLE)
             assert fast.total_accesses == _observed(clipped, period, 3 * period)
+
+    def test_adaptive_policy_identical(self, trace, machine, monkeypatch):
+        # AD's misses batch between disk wakes; each waking miss runs the
+        # policy hook that moves the timeout.
+        fast = run_method("ADDS", trace, machine, audit=True, profile="auto")
+        assert fast.spin_down_cycles > 0
+        monkeypatch.setenv("REPRO_KERNELS", "0")
+        slow = run_method("ADDS", trace, machine, audit=True, profile="auto")
+        _assert_identical(fast, slow, mode=kernels.MODE_DISABLE)
+
+    def test_only_a_declaring_policy_is_wake_driven(self):
+        class Overriding(AdaptiveTimeoutPolicy):
+            def on_request(self, now, latency_s, wake_delay_s, idle_before_s):
+                return super().on_request(
+                    now, latency_s, wake_delay_s, idle_before_s
+                )
+
+        assert kernels._policy_is_wake_driven(AdaptiveTimeoutPolicy())
+        assert not kernels._policy_is_wake_driven(Overriding())
+        assert not kernels._policy_is_wake_driven(FixedTimeoutPolicy(1.0))
+        assert not kernels._policy_is_wake_driven(None)
 
     def test_disable_with_writes_stays_scalar(self, machine):
         # Flush sweeps interleave with invalidation-driven residency
